@@ -4,8 +4,7 @@ import repro.SparkSpec
 
 /** Shared bench scaffolding: scale factor from BENCH_SCALE (default 1.0 =
   * the paper's dataset sizes, with DS's right table scaled per DESIGN.md),
-  * and a fixed-width row printer whose output is diffed against the
-  * paper's numbers in EXPERIMENTS.md.
+  * and a fixed-width row printer for the paper-vs-measured rows.
   */
 trait BenchBase extends SparkSpec {
   val scale: Double = sys.env.get("BENCH_SCALE").map(_.toDouble).getOrElse(1.0)

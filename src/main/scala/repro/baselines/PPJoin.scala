@@ -31,18 +31,24 @@ object PPJoin {
       .agg(array_sort(collect_list(struct(col("r"), col("tok")))).as("st"))
       .select(col("rid"), col("st.tok").as("toks"), size(col("st")).as("sz"))
 
-  /** Global token ranking (ascending document frequency, ties by token). */
-  private def tokenRank(left: DataFrame, right: DataFrame, idCol: String,
-                        attrs: Seq[String]): DataFrame = {
+  /** Global token ranking (ascending document frequency, ties by token),
+    * as `(tok, r)` with ranks from 1. The vocabulary is small, so it is
+    * sorted on the driver; a global window would pull every token into one
+    * partition.
+    */
+  private[baselines] def tokenRank(left: DataFrame, right: DataFrame, idCol: String,
+                                   attrs: Seq[String]): DataFrame = {
     def toks(df: DataFrame) =
       df.select(explode(array_distinct(filter(
         split(lower(concat_ws(" ", attrs.map(a => coalesce(col(a), lit(""))): _*)),
               "[^a-z0-9]+"), t => length(t) > 0))).as("tok"))
-    toks(left).unionByName(toks(right))
+    val vocab = toks(left).unionByName(toks(right))
       .groupBy("tok").agg(count(lit(1)).as("df"))
-      .select(col("tok"),
-              row_number().over(org.apache.spark.sql.expressions.Window
-                .orderBy(col("df"), col("tok"))).as("r"))
+      .collect().map(r => (r.getLong(1), r.getString(0)))
+      .sorted
+    val spark = left.sparkSession
+    import spark.implicits._
+    vocab.iterator.zipWithIndex.map { case ((_, tok), i) => (tok, i + 1) }.toSeq.toDF("tok", "r")
   }
 
   /** Similarity join: pairs with sim(tokens_l, tokens_r) >= threshold. */

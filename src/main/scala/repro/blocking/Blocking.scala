@@ -71,9 +71,21 @@ object Blocking {
     pairs.join(l, "left_id").join(r, "right_id")
   }
 
-  /** Stable surrogate pair id, used by the EM override mechanism. */
+  /** Pair id `left_id << 32 | right_id`, used as the key of the EM's
+    * transitivity overrides. It depends only on the pair, so it is the same
+    * however often, and with whatever partitioning, the pairs are computed.
+    * Both ids must lie in [0, 2^32).
+    */
   def withPairId(pairs: DataFrame): DataFrame =
-    pairs.withColumn("pair_id", monotonically_increasing_id())
+    pairs.withColumn("pair_id", pairId(col("left_id"), col("right_id")))
+
+  private val MaxId = 0xFFFFFFFFL
+
+  private val pairId = udf { (l: Long, r: Long) =>
+    require(l >= 0 && l <= MaxId && r >= 0 && r <= MaxId,
+            s"pair ($l, $r): pair ids need both ids in [0, 2^32)")
+    l << 32 | r
+  }
 
   /** Blocking recall: fraction of ground-truth matches kept. */
   def recall(spark: SparkSession, pairs: DataFrame, truth: DataFrame): Double = {

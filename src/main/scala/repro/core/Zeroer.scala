@@ -46,14 +46,23 @@ object Zeroer {
     prepare(s"${ds.name}-$which", Blocking.withPairAttrs(cand, tbl, tbl, "id", ds.attrs), ds)
   }
 
+  /** Features every candidate pair once: the raw features are persisted
+    * for the one scaling-statistics job and the scaling pass that reads
+    * them, then released, so only the scaled side stays cached.
+    */
   private def prepare(name: String, pairsWithAttrs: DataFrame, ds: ErDataset): Prepared = {
     val groups = FeatureGen.groupIndex(ds.specs)
     val d      = FeatureGen.numFeatures(ds.specs)
-    val feats  = FeatureGen.imputeAndScale(FeatureGen.addFeatures(pairsWithAttrs, ds.specs))
-    val pairs = Blocking.withPairId(feats)
-      .select(col("pair_id"), col("left_id"), col("right_id"), col("features"))
+    val raw = FeatureGen.addFeatures(pairsWithAttrs, ds.specs)
+      .select(col("left_id"), col("right_id"), col("features"))
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val n    = pairs.count()
+    val (pairs, n) =
+      try {
+        val p = Blocking.withPairId(FeatureGen.imputeAndScale(raw))
+          .select(col("pair_id"), col("left_id"), col("right_id"), col("features"))
+          .persist(StorageLevel.MEMORY_AND_DISK)
+        (p, p.count())
+      } finally raw.unpersist(blocking = true)
     val corr = sharedCorrelation(pairs, "features", groups)
     Prepared(name, pairs, d, groups, n, corr)
   }

@@ -1,8 +1,6 @@
 package repro.core
 
-import org.apache.spark.ml.linalg.{Matrix, Vectors}
-import org.apache.spark.ml.stat.Correlation
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import ZeroerModel._
@@ -34,19 +32,53 @@ object ZeroerEM {
                             gamma: Double, logA: Double, logB: Double)
 
   /** Shared correlation matrix R (§3.1), estimated once over the entire
-    * candidate set, masked to the feature-group block structure. NaN
-    * entries (constant features) become 0.
+    * candidate set, masked to the feature-group block structure.
+    *
+    * One job without a shuffle: each partition sums x, x² and the
+    * within-group products xᵢxⱼ, and the driver adds the sums in partition
+    * order and forms Pearson's r as Spark's `Correlation.corr` does (sample
+    * covariance over the product of standard deviations). A constant
+    * feature (variance within 1e-12 of zero, Spark's cut-off) has no
+    * defined correlation: its row and column are 0 off the diagonal.
     */
   def sharedCorrelation(features: DataFrame, featCol: String, groups: Array[Int]): Array[Array[Double]] = {
-    val toVec = udf((a: Seq[Double]) => Vectors.dense(a.toArray))
-    val Row(m: Matrix) =
-      Correlation.corr(features.select(toVec(col(featCol)).as("f")), "f").head()
     val d = groups.length
-    Array.tabulate(d, d) { (i, j) =>
-      if (i == j) 1.0
-      else if (groups(i) != groups(j)) 0.0
-      else { val v = m(i, j); if (v.isNaN) 0.0 else v }
+    val (pi, pj) =
+      (for (i <- 0 until d; j <- i + 1 until d if groups(i) == groups(j)) yield (i, j)).toArray.unzip
+    // sums layout: n, then Σx (d), Σx² (d), Σxᵢxⱼ (one per within-group pair)
+    val width = 1 + 2 * d + pi.length
+    val spark = features.sparkSession
+    import spark.implicits._
+    val parts = features.select(col(featCol)).as[Array[Double]].mapPartitions { rows =>
+      val s = new Array[Double](width)
+      rows.foreach { x =>
+        s(0) += 1
+        var j = 0
+        while (j < d) { s(1 + j) += x(j); s(1 + d + j) += x(j) * x(j); j += 1 }
+        var k = 0
+        while (k < pi.length) { s(1 + 2 * d + k) += x(pi(k)) * x(pj(k)); k += 1 }
+      }
+      Iterator(s)
+    }.collect()
+    val s = Array.tabulate(width)(k => parts.foldLeft(0.0)(_ + _(k)))
+
+    val n    = s(0)
+    val mean = Array.tabulate(d)(j => s(1 + j) / n)
+    def cov(i: Int, j: Int, gram: Double): Double =
+      gram / (n - 1) - n / (n - 1) * mean(i) * mean(j)
+    val sd = Array.tabulate(d) { j =>
+      val v = if (n > 1) cov(j, j, s(1 + d + j)) else 0.0
+      if (math.abs(v) <= 1e-12) 0.0 else math.sqrt(v)
     }
+    val r = Array.tabulate(d, d)((i, j) => if (i == j) 1.0 else 0.0)
+    for (k <- pi.indices) {
+      val i = pi(k); val j = pj(k)
+      if (sd(i) > 0.0 && sd(j) > 0.0) {
+        r(i)(j) = cov(i, j, s(1 + 2 * d + k)) / (sd(j) * sd(i))
+        r(j)(i) = r(i)(j)
+      }
+    }
+    r
   }
 
   private def gammaColumn(params: SideParams, overrides: Map[Long, Double]) =

@@ -1,10 +1,16 @@
 package repro.sim
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
-/** A named similarity function, e.g. `name_name_lev_sim`. */
-final case class SimFn(name: String, f: (String, String) => Double)
+import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, DoubleType}
+
+/** A named similarity function on two attribute-value profiles, e.g.
+  * `lev_sim`; its `(String, String)` form is the [[StringSims]] function of
+  * the same measure.
+  */
+final case class SimFn(name: String, f: (Profile, Profile) => Double)
 
 /** All similarity functions applied to one aligned attribute — the paper's
   * *feature group* (§3.1): features inside one group share a covariance
@@ -25,23 +31,23 @@ object FeatureGen {
 
   /** Standard spec for a short string attribute (name, title, venue...). */
   def stringSims: Seq[SimFn] = Seq(
-    SimFn("lev_sim", StringSims.levSim),
-    SimFn("jar_wnk", StringSims.jaroWinkler),
-    SimFn("jac_qgm_3", StringSims.jaccardQgram(_, _)),
-    SimFn("cos_qgm_3", StringSims.cosineQgram(_, _)),
-    SimFn("dice_tok", StringSims.diceTokens),
-    SimFn("ovl_tok", StringSims.overlapTokens),
-    SimFn("exm", StringSims.exact),
+    SimFn("lev_sim", ProfileSims.levSim),
+    SimFn("jar_wnk", ProfileSims.jaroWinkler),
+    SimFn("jac_qgm_3", ProfileSims.jaccardQgram),
+    SimFn("cos_qgm_3", ProfileSims.cosineQgram),
+    SimFn("dice_tok", ProfileSims.diceTokens),
+    SimFn("ovl_tok", ProfileSims.overlapTokens),
+    SimFn("exm", ProfileSims.exact),
   )
 
   /** Spec for long text (product descriptions): token-set measures only —
     * edit distance on 60-token strings is meaningless and slow.
     */
   def textSims: Seq[SimFn] = Seq(
-    SimFn("jac_tok", StringSims.jaccardTokens),
-    SimFn("cos_tok", StringSims.cosineTokens),
-    SimFn("dice_tok", StringSims.diceTokens),
-    SimFn("ovl_tok", StringSims.overlapTokens),
+    SimFn("jac_tok", ProfileSims.jaccardTokens),
+    SimFn("cos_tok", ProfileSims.cosineTokens),
+    SimFn("dice_tok", ProfileSims.diceTokens),
+    SimFn("ovl_tok", ProfileSims.overlapTokens),
   )
 
   /** Spec for short / near-categorical strings (city, venue, cuisine...):
@@ -50,25 +56,25 @@ object FeatureGen {
     * attributes into a dominant covariance block.
     */
   def shortStringSims: Seq[SimFn] = Seq(
-    SimFn("lev_sim", StringSims.levSim),
-    SimFn("jac_qgm_3", StringSims.jaccardQgram(_, _)),
-    SimFn("exm", StringSims.exact),
+    SimFn("lev_sim", ProfileSims.levSim),
+    SimFn("jac_qgm_3", ProfileSims.jaccardQgram),
+    SimFn("exm", ProfileSims.exact),
   )
 
   /** Spec for categorical codes: equality only. */
-  def categoricalSims: Seq[SimFn] = Seq(SimFn("exm", StringSims.exact))
+  def categoricalSims: Seq[SimFn] = Seq(SimFn("exm", ProfileSims.exact))
 
   /** Spec for phone-like attributes: formatting-robust digit equality. */
   def phoneSims: Seq[SimFn] = Seq(
-    SimFn("dig_exm", StringSims.digitsExact),
-    SimFn("lev_sim", StringSims.levSim),
-    SimFn("jac_qgm_3", StringSims.jaccardQgram(_, _)),
+    SimFn("dig_exm", ProfileSims.digitsExact),
+    SimFn("lev_sim", ProfileSims.levSim),
+    SimFn("jac_qgm_3", ProfileSims.jaccardQgram),
   )
 
   /** Spec for numeric attributes (year, price). */
   def numericSims: Seq[SimFn] = Seq(
-    SimFn("rel_sim", StringSims.numericSim),
-    SimFn("exm", StringSims.exact),
+    SimFn("rel_sim", ProfileSims.numericSim),
+    SimFn("exm", ProfileSims.exact),
   )
 
   /** Flat feature names, `<attr>_<simname>`, in vector order. */
@@ -83,47 +89,97 @@ object FeatureGen {
 
   /** Append `features: array<double>` to a pair DataFrame that carries
     * `l_<attr>` and `r_<attr>` string columns for every spec attribute.
+    * Each task profiles every distinct attribute value it meets once (a
+    * task-local memo of [[Profile]]s), then evaluates every function of
+    * every pair on the two profiles.
     */
   def addFeatures(pairs: DataFrame, specs: Seq[AttrSpec]): DataFrame = {
-    val sims    = specs.map(_.sims)
-    val compute = udf { (ls: Seq[String], rs: Seq[String]) =>
-      val out = Array.newBuilder[Double]
-      var g = 0
-      while (g < sims.length) {
-        val l = ls(g); val r = rs(g)
-        sims(g).foreach { fn =>
-          out += (if (l == null || r == null) Double.NaN else fn.f(l, r))
+    val sims  = specs.map(_.sims.map(_.f).toArray).toArray
+    val d     = numFeatures(specs)
+    val width = pairs.columns.length
+    val attrs = specs.flatMap(s => Seq(col(s"l_${s.attr}"), col(s"r_${s.attr}"))).map(_.cast("string"))
+    val out   = pairs.schema.add("features", ArrayType(DoubleType, containsNull = false))
+    pairs.select(pairs.columns.toSeq.map(c => pairs.col(s"`$c`")) ++ attrs: _*)
+      .mapPartitions { rows =>
+        val memo = mutable.HashMap.empty[String, Profile]
+        def profile(r: Row, i: Int): Profile =
+          if (r.isNullAt(i)) null
+          else { val s = r.getString(i); memo.getOrElseUpdate(s, new Profile(s)) }
+        rows.map { r =>
+          val feats = new Array[Double](d)
+          var k = 0
+          var g = 0
+          while (g < sims.length) {
+            val l  = profile(r, width + 2 * g)
+            val rt = profile(r, width + 2 * g + 1)
+            sims(g).foreach { f =>
+              feats(k) = if (l == null || rt == null) Double.NaN else f(l, rt)
+              k += 1
+            }
+            g += 1
+          }
+          Row.fromSeq(r.toSeq.take(width) :+ feats)
         }
-        g += 1
-      }
-      out.result()
-    }
-    val lArr: Column = array(specs.map(s => col(s"l_${s.attr}").cast("string")): _*)
-    val rArr: Column = array(specs.map(s => col(s"r_${s.attr}").cast("string")): _*)
-    pairs.withColumn("features", compute(lArr, rArr))
+      }(Encoders.row(out))
+  }
+
+  /** Adds `v` to the compensated sum held at `a(k)` with its running
+    * error at `a(c)` (Neumaier's variant of Kahan summation).
+    */
+  private def addCompensated(a: Array[Double], k: Int, c: Int, v: Double): Unit = {
+    val t = a(k) + v
+    a(c) += (if (math.abs(a(k)) >= math.abs(v)) (a(k) - t) + v else (v - t) + a(k))
+    a(k) = t
   }
 
   /** Mean-impute NaNs then min-max scale each feature to [0,1] (paper §3.3:
     * "we first use a min-max scaler to normalize every feature into [0,1]").
-    * Constant features scale to 0. Stats are computed over `df` itself.
+    * Constant features scale to 0; a feature with no value scales to 0.
+    * Stats are computed over `df` itself in one job without a shuffle:
+    * each partition summarizes its rows, and the driver merges the
+    * summaries. Means are summed with compensation, so they are exact to
+    * about an ulp whatever the partitioning and row order.
     */
   def imputeAndScale(df: DataFrame, featCol: String = "features"): DataFrame = {
-    val stats = df
-      .select(posexplode(col(featCol)).as(Seq("j", "v")))
-      .select(col("j"), when(isnan(col("v")), lit(null)).otherwise(col("v")).as("v"))
-      .groupBy("j")
-      .agg(min("v").as("mn"), max("v").as("mx"), avg("v").as("mean"))
-      .collect()
-    val d    = df.select(size(col(featCol))).head().getInt(0)
-    val mn   = new Array[Double](d)
-    val mx   = new Array[Double](d)
-    val mean = new Array[Double](d)
-    stats.foreach { r =>
-      val j = r.getInt(0)
-      mn(j)   = Option(r.get(1)).map(_.asInstanceOf[Double]).getOrElse(0.0)
-      mx(j)   = Option(r.get(2)).map(_.asInstanceOf[Double]).getOrElse(0.0)
-      mean(j) = Option(r.get(3)).map(_.asInstanceOf[Double]).getOrElse(0.0)
+    val spark = df.sparkSession
+    import spark.implicits._
+    // per partition and feature j, over the non-NaN values: min at j, max
+    // at d + j, sum at 2d + j with its compensation at 3d + j, count at 4d + j
+    val parts = df.select(col(featCol)).as[Array[Double]].mapPartitions { rows =>
+      if (!rows.hasNext) Iterator.empty
+      else {
+        val first = rows.next()
+        val d     = first.length
+        val s = Array.tabulate(5 * d)(k => if (k < d) Double.PositiveInfinity
+                                           else if (k < 2 * d) Double.NegativeInfinity else 0.0)
+        def add(x: Array[Double]): Unit = {
+          require(x.length == d, s"feature vectors of length ${x.length} and $d")
+          var j = 0
+          while (j < d) {
+            val v = x(j)
+            if (!v.isNaN) {
+              s(j) = math.min(s(j), v); s(d + j) = math.max(s(d + j), v)
+              addCompensated(s, 2 * d + j, 3 * d + j, v); s(4 * d + j) += 1
+            }
+            j += 1
+          }
+        }
+        add(first)
+        rows.foreach(add)
+        Iterator(s)
+      }
+    }.collect()
+    require(parts.map(_.length).distinct.length <= 1, "feature vectors of different lengths")
+    val d     = parts.headOption.map(_.length / 5).getOrElse(0)
+    val count = Array.tabulate(d)(j => parts.map(_(4 * d + j)).sum)
+    val sum   = new Array[Double](2 * d) // compensated sum at j, its error at d + j
+    for (p <- parts; j <- 0 until d) {
+      addCompensated(sum, j, d + j, p(2 * d + j))
+      addCompensated(sum, j, d + j, p(3 * d + j))
     }
+    val mn   = Array.tabulate(d)(j => if (count(j) > 0) parts.map(_(j)).min else 0.0)
+    val mx   = Array.tabulate(d)(j => if (count(j) > 0) parts.map(_(d + j)).max else 0.0)
+    val mean = Array.tabulate(d)(j => if (count(j) > 0) (sum(j) + sum(d + j)) / count(j) else 0.0)
     val scale = udf { (xs: Seq[Double]) =>
       val out = new Array[Double](xs.length)
       var j = 0

@@ -1,35 +1,61 @@
 package repro.sim
 
+import java.util.regex.Pattern
+
+/** What the similarity measures read from one attribute value, each part
+  * computed at most once (on first use): the normalized string, its sorted
+  * distinct word tokens and padded q-grams, its digits and its value as a
+  * number. [[FeatureGen]] builds one profile per distinct value and task
+  * and evaluates every measure of every pair on profiles.
+  */
+final class Profile(val raw: String, q: Int = 3) {
+  lazy val norm: String = StringSims.normalize(raw)
+
+  /** Word tokens (split on non-alphanumeric), distinct and sorted. */
+  lazy val tokens: Array[String] = StringSims.splitTokens(norm).distinct.sorted
+
+  /** Character q-grams of the padded string, distinct and sorted. Strings
+    * shorter than q yield the padded grams so the measure stays defined.
+    */
+  lazy val qgrams: Array[String] =
+    if (norm.isEmpty) Array.empty
+    else {
+      val pad = ("#" * (q - 1)) + norm + ("#" * (q - 1))
+      Array.tabulate(pad.length - q + 1)(i => pad.substring(i, i + q)).distinct.sorted
+    }
+
+  lazy val digits: String = raw.filter(_.isDigit)
+
+  lazy val number: Option[Double] = raw.trim.toDoubleOption
+}
+
 /** Pure string-similarity functions used to build Magellan-style feature
   * vectors (Figure 1(c) of the paper).
   *
   * Every function returns a similarity in [0, 1] (1 = identical) and is
   * total: `null` inputs are handled by [[FeatureGen]] before these are
   * called. All functions are deterministic and symmetric unless noted.
+  * Each measure is implemented once, on two [[Profile]]s, in
+  * [[ProfileSims]]; the `(String, String)` functions here profile both
+  * strings and call it.
   */
 object StringSims {
 
+  private val Whitespace = Pattern.compile("\\s+")
+  private val NonAlnum   = Pattern.compile("[^a-z0-9]+")
+
   /** Lowercase, collapse whitespace, strip leading/trailing space. */
   def normalize(s: String): String =
-    s.toLowerCase.replaceAll("\\s+", " ").trim
+    Whitespace.matcher(s.toLowerCase).replaceAll(" ").trim
+
+  private[sim] def splitTokens(normalized: String): Array[String] =
+    NonAlnum.split(normalized).filter(_.nonEmpty)
 
   /** Word tokens (split on non-alphanumeric). */
-  def tokens(s: String): Set[String] =
-    normalize(s).split("[^a-z0-9]+").filter(_.nonEmpty).toSet
+  def tokens(s: String): Set[String] = new Profile(s).tokens.toSet
 
-  /** Word tokens preserving duplicates and order. */
-  def tokenList(s: String): Seq[String] =
-    normalize(s).split("[^a-z0-9]+").filter(_.nonEmpty).toSeq
-
-  /** Character q-grams of the padded string, as a set. Strings shorter than
-    * q yield the single padded gram so the measure stays defined.
-    */
-  def qgrams(s: String, q: Int = 3): Set[String] = {
-    val t   = normalize(s)
-    val pad = ("#" * (q - 1)) + t + ("#" * (q - 1))
-    if (t.isEmpty) Set.empty
-    else pad.sliding(q).toSet
-  }
+  /** Character q-grams of the padded string, as a set. */
+  def qgrams(s: String, q: Int = 3): Set[String] = new Profile(s, q).qgrams.toSet
 
   /** Levenshtein edit distance (iterative two-row DP). */
   def levenshtein(a: String, b: String): Int = {
@@ -53,16 +79,70 @@ object StringSims {
     prev(b.length)
   }
 
+  private def on(f: (Profile, Profile) => Double)(a: String, b: String): Double =
+    f(new Profile(a), new Profile(b))
+
   /** Levenshtein similarity: 1 - dist / max(len). Empty-vs-empty = 1. */
-  def levSim(a: String, b: String): Double = {
-    val (x, y) = (normalize(a), normalize(b))
-    val m = math.max(x.length, y.length)
-    if (m == 0) 1.0 else 1.0 - levenshtein(x, y).toDouble / m
-  }
+  def levSim(a: String, b: String): Double = on(ProfileSims.levSim)(a, b)
 
   /** Jaro similarity. */
-  def jaro(a0: String, b0: String): Double = {
-    val a = normalize(a0); val b = normalize(b0)
+  def jaro(a: String, b: String): Double = on(ProfileSims.jaro)(a, b)
+
+  /** Jaro-Winkler similarity with standard scaling p=0.1, prefix cap 4. */
+  def jaroWinkler(a: String, b: String): Double = on(ProfileSims.jaroWinkler)(a, b)
+
+  private def onQgrams(f: (Array[String], Array[String]) => Double)(a: String, b: String,
+                                                                     q: Int): Double =
+    f(new Profile(a, q).qgrams, new Profile(b, q).qgrams)
+
+  def jaccardQgram(a: String, b: String, q: Int = 3): Double = onQgrams(ProfileSims.jaccard)(a, b, q)
+  def cosineQgram(a: String, b: String, q: Int = 3): Double  = onQgrams(ProfileSims.cosine)(a, b, q)
+  def diceQgram(a: String, b: String, q: Int = 3): Double    = onQgrams(ProfileSims.dice)(a, b, q)
+  def overlapQgram(a: String, b: String, q: Int = 3): Double = onQgrams(ProfileSims.overlap)(a, b, q)
+
+  def jaccardTokens(a: String, b: String): Double = on(ProfileSims.jaccardTokens)(a, b)
+  def cosineTokens(a: String, b: String): Double  = on(ProfileSims.cosineTokens)(a, b)
+  def diceTokens(a: String, b: String): Double    = on(ProfileSims.diceTokens)(a, b)
+  def overlapTokens(a: String, b: String): Double = on(ProfileSims.overlapTokens)(a, b)
+
+  /** Exact match after normalization. */
+  def exact(a: String, b: String): Double = on(ProfileSims.exact)(a, b)
+
+  /** Relative similarity of two numeric strings: 1 - |a-b| / max(|a|,|b|).
+    * Non-parsable values fall back to exact match on the raw strings.
+    */
+  def numericSim(a: String, b: String): Double = on(ProfileSims.numericSim)(a, b)
+
+  /** Similarity on digits only — robust to phone formatting divergence
+    * between the source tables (`213/467-1108` vs `213-467-1108`).
+    */
+  def digitsExact(a: String, b: String): Double = on(ProfileSims.digitsExact)(a, b)
+}
+
+/** The similarity measures on two [[Profile]]s: the one implementation of
+  * each measure, documented at its [[StringSims]] counterpart. Set measures
+  * merge the profiles' sorted distinct arrays.
+  */
+object ProfileSims {
+
+  def levSim(a: Profile, b: Profile): Double = {
+    val m = math.max(a.norm.length, b.norm.length)
+    if (m == 0) 1.0 else 1.0 - StringSims.levenshtein(a.norm, b.norm).toDouble / m
+  }
+
+  def jaro(a: Profile, b: Profile): Double = jaroOf(a.norm, b.norm)
+
+  def jaroWinkler(a: Profile, b: Profile): Double = {
+    val x = a.norm; val y = b.norm
+    val j = jaroOf(x, y)
+    var prefix = 0
+    while (prefix < math.min(4, math.min(x.length, y.length)) &&
+           x.charAt(prefix) == y.charAt(prefix)) prefix += 1
+    j + prefix * 0.1 * (1.0 - j)
+  }
+
+  /** Jaro similarity of two normalized strings. */
+  private def jaroOf(a: String, b: String): Double = {
     if (a.isEmpty && b.isEmpty) return 1.0
     if (a.isEmpty || b.isEmpty) return 0.0
     val window = math.max(0, math.max(a.length, b.length) / 2 - 1)
@@ -100,87 +180,61 @@ object StringSims {
     (m / a.length + m / b.length + (m - transpositions / 2.0) / m) / 3.0
   }
 
-  /** Jaro-Winkler similarity with standard scaling p=0.1, prefix cap 4. */
-  def jaroWinkler(a0: String, b0: String): Double = {
-    val a = normalize(a0); val b = normalize(b0)
-    val j = jaro(a, b)
-    var prefix = 0
-    while (prefix < math.min(4, math.min(a.length, b.length)) &&
-           a.charAt(prefix) == b.charAt(prefix)) prefix += 1
-    j + prefix * 0.1 * (1.0 - j)
+  /** Size of the intersection of two sorted distinct arrays. */
+  private def common(x: Array[String], y: Array[String]): Int = {
+    var i = 0; var j = 0; var n = 0
+    while (i < x.length && j < y.length) {
+      val c = x(i).compareTo(y(j))
+      if (c == 0) { n += 1; i += 1; j += 1 }
+      else if (c < 0) i += 1
+      else j += 1
+    }
+    n
   }
 
-  private def jaccardSets(x: Set[String], y: Set[String]): Double = {
+  def jaccard(x: Array[String], y: Array[String]): Double = {
     if (x.isEmpty && y.isEmpty) 1.0
     else if (x.isEmpty || y.isEmpty) 0.0
     else {
-      val inter = x.intersect(y).size.toDouble
-      inter / (x.size + y.size - inter)
+      val inter = common(x, y).toDouble
+      inter / (x.length + y.length - inter)
     }
   }
 
-  private def cosineSets(x: Set[String], y: Set[String]): Double = {
+  def cosine(x: Array[String], y: Array[String]): Double = {
     if (x.isEmpty && y.isEmpty) 1.0
     else if (x.isEmpty || y.isEmpty) 0.0
-    else x.intersect(y).size.toDouble / math.sqrt(x.size.toDouble * y.size)
+    else common(x, y).toDouble / math.sqrt(x.length.toDouble * y.length)
   }
 
-  private def diceSets(x: Set[String], y: Set[String]): Double = {
+  def dice(x: Array[String], y: Array[String]): Double = {
     if (x.isEmpty && y.isEmpty) 1.0
     else if (x.isEmpty || y.isEmpty) 0.0
-    else 2.0 * x.intersect(y).size / (x.size + y.size)
+    else 2.0 * common(x, y) / (x.length + y.length)
   }
 
-  private def overlapSets(x: Set[String], y: Set[String]): Double = {
+  def overlap(x: Array[String], y: Array[String]): Double = {
     if (x.isEmpty && y.isEmpty) 1.0
     else if (x.isEmpty || y.isEmpty) 0.0
-    else x.intersect(y).size.toDouble / math.min(x.size, y.size)
+    else common(x, y).toDouble / math.min(x.length, y.length)
   }
 
-  def jaccardQgram(a: String, b: String, q: Int = 3): Double = jaccardSets(qgrams(a, q), qgrams(b, q))
-  def cosineQgram(a: String, b: String, q: Int = 3): Double  = cosineSets(qgrams(a, q), qgrams(b, q))
-  def diceQgram(a: String, b: String, q: Int = 3): Double    = diceSets(qgrams(a, q), qgrams(b, q))
-  def overlapQgram(a: String, b: String, q: Int = 3): Double = overlapSets(qgrams(a, q), qgrams(b, q))
+  def jaccardQgram(a: Profile, b: Profile): Double = jaccard(a.qgrams, b.qgrams)
+  def cosineQgram(a: Profile, b: Profile): Double  = cosine(a.qgrams, b.qgrams)
 
-  def jaccardTokens(a: String, b: String): Double = jaccardSets(tokens(a), tokens(b))
-  def cosineTokens(a: String, b: String): Double  = cosineSets(tokens(a), tokens(b))
-  def diceTokens(a: String, b: String): Double    = diceSets(tokens(a), tokens(b))
-  def overlapTokens(a: String, b: String): Double = overlapSets(tokens(a), tokens(b))
+  def jaccardTokens(a: Profile, b: Profile): Double = jaccard(a.tokens, b.tokens)
+  def cosineTokens(a: Profile, b: Profile): Double  = cosine(a.tokens, b.tokens)
+  def diceTokens(a: Profile, b: Profile): Double    = dice(a.tokens, b.tokens)
+  def overlapTokens(a: Profile, b: Profile): Double = overlap(a.tokens, b.tokens)
 
-  /** Exact match after normalization. */
-  def exact(a: String, b: String): Double =
-    if (normalize(a) == normalize(b)) 1.0 else 0.0
+  def exact(a: Profile, b: Profile): Double = if (a.norm == b.norm) 1.0 else 0.0
 
-  /** Monge-Elkan: average over tokens of `a` of the best Jaro-Winkler match
-    * in `b`. Asymmetric in general; we symmetrize by averaging both
-    * directions so the feature is orientation-independent.
-    */
-  def mongeElkan(a: String, b: String): Double = {
-    def oneWay(xs: Seq[String], ys: Seq[String]): Double =
-      if (xs.isEmpty && ys.isEmpty) 1.0
-      else if (xs.isEmpty || ys.isEmpty) 0.0
-      else xs.map(x => ys.map(y => jaroWinkler(x, y)).max).sum / xs.size
-    val ta = tokenList(a); val tb = tokenList(b)
-    (oneWay(ta, tb) + oneWay(tb, ta)) / 2.0
+  def numericSim(a: Profile, b: Profile): Double = (a.number, b.number) match {
+    case (Some(x), Some(y)) =>
+      val m = math.max(math.abs(x), math.abs(y))
+      if (m == 0.0) 1.0 else math.max(0.0, 1.0 - math.abs(x - y) / m)
+    case _ => exact(a, b)
   }
 
-  /** Relative similarity of two numeric strings: 1 - |a-b| / max(|a|,|b|).
-    * Non-parsable values fall back to exact match on the raw strings.
-    */
-  def numericSim(a: String, b: String): Double = {
-    (a.trim.toDoubleOption, b.trim.toDoubleOption) match {
-      case (Some(x), Some(y)) =>
-        val m = math.max(math.abs(x), math.abs(y))
-        if (m == 0.0) 1.0 else math.max(0.0, 1.0 - math.abs(x - y) / m)
-      case _ => exact(a, b)
-    }
-  }
-
-  /** Similarity on digits only — robust to phone formatting divergence
-    * between the source tables (`213/467-1108` vs `213-467-1108`).
-    */
-  def digitsExact(a: String, b: String): Double = {
-    val da = a.filter(_.isDigit); val db = b.filter(_.isDigit)
-    if (da.isEmpty && db.isEmpty) 1.0 else if (da == db) 1.0 else 0.0
-  }
+  def digitsExact(a: Profile, b: Profile): Double = if (a.digits == b.digits) 1.0 else 0.0
 }

@@ -97,6 +97,22 @@ class PPJoinSpec extends SparkSpec {
     assert(counts(0) >= counts(1) && counts(1) >= counts(2))
   }
 
+  test("token ranks equal a global-window ranking on FZ") {
+    import org.apache.spark.sql.expressions.Window
+    val ds = Datasets.fz(spark, scale = 0.3)
+    def toks(df: org.apache.spark.sql.DataFrame) =
+      df.select(explode(array_distinct(filter(
+        split(lower(concat_ws(" ", ds.attrs.map(a => coalesce(col(a), lit(""))): _*)),
+              "[^a-z0-9]+"), t => length(t) > 0))).as("tok"))
+    val window = toks(ds.left).unionByName(toks(ds.right))
+      .groupBy("tok").agg(count(lit(1)).as("df"))
+      .select(col("tok"), row_number().over(Window.orderBy(col("df"), col("tok"))).as("r"))
+    def ranks(df: org.apache.spark.sql.DataFrame) =
+      df.collect().map(r => r.getString(0) -> r.getInt(1)).toMap
+    val got = ranks(PPJoin.tokenRank(ds.left, ds.right, "id", ds.attrs))
+    assert(got.nonEmpty && got == ranks(window))
+  }
+
   test("PP* picks the best configuration on FZ and scores well") {
     val ds   = Datasets.fz(spark, scale = 0.3)
     val best = PPJoin.best(ds.left, ds.right, "id", ds.attrs, ds.truth)

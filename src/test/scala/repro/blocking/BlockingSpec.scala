@@ -96,6 +96,22 @@ class BlockingSpec extends SparkSpec {
     assert(c.select("pair_id").distinct().count() == c.count())
   }
 
+  test("withPairId packs left_id and right_id into one long") {
+    val p = Blocking.withPairId(spark.createDataFrame(Seq((3L, 7L), (0L, 0xFFFFFFFFL)))
+      .toDF("left_id", "right_id"))
+    assert(p.select("pair_id").collect().map(_.getLong(0)).toSeq ==
+           Seq(3L << 32 | 7L, 0xFFFFFFFFL))
+  }
+
+  test("withPairId rejects ids outside [0, 2^32)") {
+    for (ids <- Seq((-1L, 2L), (1L, 1L << 32))) {
+      val p = Blocking.withPairId(spark.createDataFrame(Seq(ids)).toDF("left_id", "right_id"))
+      val e = intercept[Exception](p.collect())
+      assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+               .exists(t => String.valueOf(t.getMessage).contains("2^32")), e.toString)
+    }
+  }
+
   test("Oracle: candidate generation matches SQL token join") {
     val l = tbl(1L -> "zanzibar cafe", 2L -> "plain diner", 3L -> "odd zanzibar")
     val r = tbl(10L -> "zanzibar bistro", 11L -> "plain house", 12L -> "nothing")

@@ -1,0 +1,107 @@
+package repro.core
+
+import org.apache.spark.sql.{DataFrame, Row}
+
+import repro.SparkSpec
+import repro.blocking.Blocking
+import repro.core.ZeroerEM.Prepared
+import repro.erdata.{Datasets, ErDataset}
+import repro.sim.StringSims
+
+/** `Zeroer.prepareCross` / `prepareSelf` against a driver-side reference,
+  * and the identity and caching of what they return.
+  */
+class PrepareSpec extends SparkSpec {
+
+  /** The `StringSims` definition of every similarity function, by name. */
+  private val stringSim: Map[String, (String, String) => Double] = Map(
+    "lev_sim"   -> StringSims.levSim,
+    "jar_wnk"   -> StringSims.jaroWinkler,
+    "jac_qgm_3" -> (StringSims.jaccardQgram(_, _)),
+    "cos_qgm_3" -> (StringSims.cosineQgram(_, _)),
+    "jac_tok"   -> StringSims.jaccardTokens,
+    "cos_tok"   -> StringSims.cosineTokens,
+    "dice_tok"  -> StringSims.diceTokens,
+    "ovl_tok"   -> StringSims.overlapTokens,
+    "exm"       -> StringSims.exact,
+    "dig_exm"   -> StringSims.digitsExact,
+    "rel_sim"   -> StringSims.numericSim,
+  )
+
+  /** Scaled features per (left_id, right_id), computed on the driver from
+    * the collected `withPairAttrs` rows: each function's string definition,
+    * NaN for a NULL side, then mean imputation (the mean summed exactly)
+    * and min-max scaling.
+    */
+  private def reference(ds: ErDataset, which: String): Map[(Long, Long), Array[Double]] = {
+    val (l, r, cand) = which match {
+      case "cross" =>
+        (ds.left, ds.right,
+         Blocking.candidatePairs(ds.left, ds.right, "id", ds.blockAttr, ds.blockOverlap, ds.blockMaxDf))
+      case side =>
+        val t = if (side == "left") ds.left else ds.right
+        (t, t, Blocking.selfCandidatePairs(t, "id", ds.blockAttr, ds.blockOverlap, ds.blockMaxDf))
+    }
+    val rows = Blocking.withPairAttrs(cand, l, r, "id", ds.attrs).collect()
+    val raw = rows.map { row =>
+      val x = ds.specs.flatMap { s =>
+        val a = row.getAs[String](s"l_${s.attr}"); val b = row.getAs[String](s"r_${s.attr}")
+        s.sims.map(f => if (a == null || b == null) Double.NaN else stringSim(f.name)(a, b))
+      }.toArray
+      (row.getAs[Long]("left_id"), row.getAs[Long]("right_id")) -> x
+    }
+    val d = raw.headOption.map(_._2.length).getOrElse(0)
+    val scaled = (0 until d).map { j =>
+      val vs   = raw.map(_._2(j)).filterNot(_.isNaN)
+      val mn   = if (vs.isEmpty) 0.0 else vs.min
+      val mx   = if (vs.isEmpty) 0.0 else vs.max
+      val mean = if (vs.isEmpty) 0.0 else (vs.map(BigDecimal(_)).sum / vs.length).toDouble
+      raw.map { case (_, x) =>
+        val v = if (x(j).isNaN) mean else x(j)
+        if (mx - mn <= 0.0) 0.0 else (v - mn) / (mx - mn)
+      }
+    }
+    raw.indices.map(i => raw(i)._1 -> Array.tabulate(d)(j => scaled(j)(i))).toMap
+  }
+
+  private def prepared(p: Prepared): Map[(Long, Long), Array[Double]] =
+    p.pairs.collect().map(r => (r.getLong(1), r.getLong(2)) -> r.getSeq[Double](3).toArray).toMap
+
+  private def idMap(df: DataFrame): Map[Long, (Long, Long)] =
+    df.select("pair_id", "left_id", "right_id").collect()
+      .map { case Row(id: Long, l: Long, r: Long) => id -> ((l, r)) }.toMap
+
+  for (name <- Datasets.names) test(s"prepared features equal the string-function reference on $name") {
+    val ds = Datasets.byName(spark, name, scale = 0.3)
+    for (which <- Seq("cross", "left", "right")) {
+      val p   = if (which == "cross") Zeroer.prepareCross(ds) else Zeroer.prepareSelf(ds, which)
+      val got = try prepared(p) finally p.pairs.unpersist()
+      val want = reference(ds, which)
+      assert(got.size == p.n && got.keySet == want.keySet, s"$name $which: pair sets differ")
+      val worst = want.iterator.map { case (k, x) =>
+        x.indices.map(j => math.abs(x(j) - got(k)(j))).maxOption.getOrElse(0.0)
+      }.maxOption.getOrElse(0.0)
+      assert(worst <= 1e-12, s"$name $which: max |feature - reference| = $worst")
+    }
+  }
+
+  test("pair ids of a prepared FZ side survive unpersisting and recomputing it") {
+    val ds     = Datasets.fz(spark, scale = 0.3)
+    val p      = Zeroer.prepareSelf(ds, "left")
+    val cached = idMap(p.pairs)
+    p.pairs.unpersist(blocking = true)
+    val recomputed = idMap(p.pairs)
+    assert(cached.size == p.n)
+    assert(recomputed == cached)
+    assert(cached.forall { case (id, (l, r)) => id == (l << 32 | r) })
+  }
+
+  test("preparation leaves only the prepared side cached") {
+    val ds     = Datasets.fz(spark, scale = 0.3)
+    def cached = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    val before = cached
+    val p      = Zeroer.prepareCross(ds)
+    try assert((cached -- before).size == 1)
+    finally p.pairs.unpersist(blocking = true)
+  }
+}

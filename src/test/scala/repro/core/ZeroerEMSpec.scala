@@ -43,6 +43,49 @@ class ZeroerEMSpec extends SparkSpec {
     }
   }
 
+  /** Spark's Pearson correlation, masked like `sharedCorrelation` (NaN
+    * entries of constant features become 0): the reference it replaced.
+    */
+  private def sparkCorrelation(df: DataFrame, groups: Array[Int]): Array[Array[Double]] = {
+    import org.apache.spark.ml.linalg.{Matrix, Vectors}
+    import org.apache.spark.ml.stat.Correlation
+    import org.apache.spark.sql.functions.{col, udf}
+    val toVec = udf((a: Seq[Double]) => Vectors.dense(a.toArray))
+    val Row(m: Matrix) = Correlation.corr(df.select(toVec(col("features")).as("f")), "f").head()
+    Array.tabulate(groups.length, groups.length) { (i, j) =>
+      if (i == j) 1.0
+      else if (groups(i) != groups(j)) 0.0
+      else { val v = m(i, j); if (v.isNaN) 0.0 else v }
+    }
+  }
+
+  test("sharedCorrelation equals Spark's Pearson correlation on FZ and AB") {
+    for (ds <- Seq(repro.erdata.Datasets.fz(spark, scale = 0.3),
+                   repro.erdata.Datasets.ab(spark, scale = 0.3))) {
+      val p = Zeroer.prepareCross(ds)
+      try {
+        val want = sparkCorrelation(p.pairs, p.groups)
+        val diff = (for (i <- 0 until p.d; j <- 0 until p.d)
+                      yield math.abs(p.corr(i)(j) - want(i)(j))).max
+        assert(diff <= 1e-12, s"${ds.name}: max |r - Spark's r| = $diff")
+      } finally p.pairs.unpersist()
+    }
+  }
+
+  test("sharedCorrelation gives a constant feature a zero row and column") {
+    val p0 = mkPrepared(30, 270, 4)
+    import org.apache.spark.sql.functions._
+    val withConst = udf((x: Seq[Double]) => (x.take(1) :+ 0.25) ++ x.drop(1))
+    val df     = p0.pairs.withColumn("features", withConst(col("features")))
+    val groups = Array(0, 0, 0, 1, 1)
+    val r      = sharedCorrelation(df, "features", groups)
+    for (j <- 0 until 5) {
+      assert(r(1)(j) == (if (j == 1) 1.0 else 0.0))
+      assert(r(j)(1) == (if (j == 1) 1.0 else 0.0))
+    }
+    assert(math.abs(r(0)(2)) > 0.0, "the other features of the group keep their correlation")
+  }
+
   test("init moments split by the epsilon threshold") {
     val p = mkPrepared(60, 440, 4)
     val m = moments(p, None, Map.empty, epsInit = 0.5)

@@ -20,9 +20,6 @@ class StringSimsSpec extends AnyFunSuite with repro.GenChecks {
     assert(tokens("foo-bar, baz!") == Set("foo", "bar", "baz"))
   }
   test("tokens of empty string is empty") { assert(tokens("") == Set.empty) }
-  test("tokenList preserves order and duplicates") {
-    assert(tokenList("a b a") == Seq("a", "b", "a"))
-  }
   test("qgrams pads the string") {
     assert(qgrams("ab", 3) == Set("##a", "#ab", "ab#", "b##"))
   }
@@ -124,7 +121,7 @@ class StringSimsSpec extends AnyFunSuite with repro.GenChecks {
     }
   }
 
-  // ----- exact / numeric / digits / monge-elkan -----
+  // ----- exact / numeric / digits -----
 
   test("exact match is normalization-insensitive") {
     assert(exact("Foo  Bar", "foo bar") == 1.0)
@@ -145,17 +142,6 @@ class StringSimsSpec extends AnyFunSuite with repro.GenChecks {
   test("digitsExact ignores formatting") {
     assert(digitsExact("404/237-2700", "404-237-2700") == 1.0)
     assert(digitsExact("404/237-2700", "404-237-2701") == 0.0)
-  }
-  test("mongeElkan identical token sets is 1") {
-    assert(mongeElkan("john smith", "john smith") == 1.0)
-  }
-  test("mongeElkan tolerates token reorder") {
-    assert(mongeElkan("smith john", "john smith") == 1.0)
-  }
-  test("mongeElkan is symmetric by construction (property)") {
-    forAllG2(phrase, phrase) { (a, b) =>
-      assert(math.abs(mongeElkan(a, b) - mongeElkan(b, a)) < 1e-12)
-    }
   }
 
   test("all sims are reflexive: sim(x,x) = 1 (property)") {
