@@ -1,7 +1,9 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+
+import repro.blocking.Blocking
 
 /** PPJoin baseline (paper baseline 9, Xiao et al. TODS'11): a set-similarity
   * join with prefix filtering over the *concatenation of all attributes*
@@ -19,13 +21,14 @@ import org.apache.spark.sql.functions._
   */
 object PPJoin {
 
+  /** The tokens of a record's concatenated attributes. */
+  private def recordTokens(attrs: Seq[String]): Column =
+    Blocking.tokens(concat_ws(" ", attrs.map(a => coalesce(col(a), lit(""))): _*))
+
   /** Records as (id, tokens sorted by global-frequency rank). */
   private def tokenized(df: DataFrame, idCol: String, attrs: Seq[String],
                         rank: DataFrame): DataFrame =
-    df.select(col(idCol).as("rid"),
-        explode(array_distinct(filter(
-          split(lower(concat_ws(" ", attrs.map(a => coalesce(col(a), lit(""))): _*)),
-                "[^a-z0-9]+"), t => length(t) > 0))).as("tok"))
+    df.select(col(idCol).as("rid"), explode(recordTokens(attrs)).as("tok"))
       .join(rank, "tok")
       .groupBy("rid")
       .agg(array_sort(collect_list(struct(col("r"), col("tok")))).as("st"))
@@ -38,10 +41,7 @@ object PPJoin {
     */
   private[baselines] def tokenRank(left: DataFrame, right: DataFrame, idCol: String,
                                    attrs: Seq[String]): DataFrame = {
-    def toks(df: DataFrame) =
-      df.select(explode(array_distinct(filter(
-        split(lower(concat_ws(" ", attrs.map(a => coalesce(col(a), lit(""))): _*)),
-              "[^a-z0-9]+"), t => length(t) > 0))).as("tok"))
+    def toks(df: DataFrame) = df.select(explode(recordTokens(attrs)).as("tok"))
     val vocab = toks(left).unionByName(toks(right))
       .groupBy("tok").agg(count(lit(1)).as("df"))
       .collect().map(r => (r.getLong(1), r.getString(0)))

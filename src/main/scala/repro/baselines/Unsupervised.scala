@@ -5,6 +5,8 @@ import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import repro.core.LinAlg
+
 /** The clustering baselines of Table 3: naive GMM (sklearn-equivalent),
   * KM-SK (vanilla k-means, k=2), KM-RL (the recordlinkage-toolkit k-means
   * calibrated for the two-cluster ER task).
@@ -110,7 +112,7 @@ object Unsupervised {
           else            { la += math.log1p(-bpM(j)); lb += math.log1p(-bpU(j)) }
           j += 1
         }
-        1.0 / (1.0 + math.exp(lb - la))
+        LinAlg.posterior(la, lb)
       }
       val rows = df.select(g(col("b")).as("g"), posexplode(col("b")).as(Seq("j", "x")))
         .groupBy("j")
@@ -133,7 +135,7 @@ object Unsupervised {
         else            { la += math.log1p(-fM(j)); lb += math.log1p(-fU(j)) }
         j += 1
       }
-      1.0 / (1.0 + math.exp(lb - la))
+      LinAlg.posterior(la, lb)
     }
     df.where(gFinal(col("b")) > 0.5).select("left_id", "right_id")
   }

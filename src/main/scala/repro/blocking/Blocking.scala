@@ -1,6 +1,6 @@
 package repro.blocking
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Token-prefix blocking (the paper's "locality sensitive hashing blocking
@@ -17,15 +17,14 @@ import org.apache.spark.sql.functions._
   */
 object Blocking {
 
+  /** The distinct lower-case alphanumeric tokens of a string column: the
+    * tokenizer of blocking and of PPJoin.
+    */
+  private[repro] def tokens(text: Column): Column =
+    array_distinct(filter(split(lower(text), "[^a-z0-9]+"), t => length(t) > 0))
+
   private def tokenize(df: DataFrame, idCol: String, attr: String): DataFrame =
-    df.select(
-      col(idCol).as("rid"),
-      explode(
-        array_distinct(
-          filter(split(lower(col(attr)), "[^a-z0-9]+"), t => length(t) > 0)
-        )
-      ).as("tok"),
-    )
+    df.select(col(idCol).as("rid"), explode(tokens(col(attr))).as("tok"))
 
   /** Per-record prefix keys: the `overlap` rarest tokens of `attr`. */
   private def prefixKeys(left: DataFrame, right: DataFrame, idCol: String,

@@ -99,26 +99,17 @@ object LinAlg {
     2.0 * s
   }
 
-  /** x^T A x for symmetric A. */
-  def quadForm(a: Array[Array[Double]], x: Array[Double]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < x.length) {
-      var j = 0
-      var row = 0.0
-      while (j < x.length) { row += a(i)(j) * x(j); j += 1 }
-      s += x(i) * row
-      i += 1
-    }
-    s
-  }
-
   /** Numerically stable log(exp(a) + exp(b)). */
   def logSumExp(a: Double, b: Double): Double = {
     val m = math.max(a, b)
     if (m.isNegInfinity) Double.NegativeInfinity
     else m + math.log(math.exp(a - m) + math.exp(b - m))
   }
+
+  /** Posterior weight of the first of two components from their log
+    * joints: e^a / (e^a + e^b) = 1 / (1 + e^(b−a)).
+    */
+  def posterior(a: Double, b: Double): Double = 1.0 / (1.0 + math.exp(b - a))
 
   /** Cosine similarity of two matrices flattened to vectors (Table 1). */
   def cosineFlat(a: Array[Array[Double]], b: Array[Array[Double]]): Double = {

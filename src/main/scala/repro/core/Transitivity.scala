@@ -74,8 +74,9 @@ object Transitivity {
         new Var(side, -1L, present = false, 0.0, 0.0, 0.0)) // blocked pair: γ = 0
     }
 
-    // Enumerate Q′ (premises γ >= 0.5).
-    val crossM  = cross.filter(_.gamma >= 0.5)
+    // Enumerate Q′ (premises γ >= 0.5), in pair order so that tied γ and
+    // tied violations resolve the same way whatever the collection order.
+    val crossM  = cross.filter(_.gamma >= 0.5).sortBy(r => (r.leftId, r.rightId))
     val constraints = mutable.ArrayBuffer.empty[(Var, Var, Var)]
 
     // (a) two cross matches share a LEFT tuple -> right-pair conclusion
@@ -135,9 +136,10 @@ object Transitivity {
   /** Post-processing ablation (Table 5, right column): assume both tables
     * duplicate-free, so of two cross matches sharing a tuple only the one
     * with the higher posterior survives — i.e. greedy one-to-one matching.
+    * Tied posteriors go in pair order, not collection order.
     */
   def postProcess(matches: Seq[GammaRow]): Seq[GammaRow] = {
-    val sorted    = matches.sortBy(-_.gamma)
+    val sorted    = matches.sortBy(m => (-m.gamma, m.leftId, m.rightId))
     val usedLeft  = mutable.Set.empty[Long]
     val usedRight = mutable.Set.empty[Long]
     sorted.filter { m =>

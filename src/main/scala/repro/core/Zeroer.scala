@@ -95,25 +95,17 @@ object Zeroer {
 
     while (iter < cfg.maxIter && !converged) {
       // E-step + transitivity resolution (Algorithm 2 lines 5-7).
-      // Id-set filters go through a broadcast-set UDF: an `isin` over
-      // thousands of ids compiles into a megabyte In-expression per task.
       if (cfg.transMode == TransMode.Constraint && leftSide.isDefined && rightSide.isDefined) {
-        def inSet(ids: Set[Long]) = udf((x: Long) => ids.contains(x))
-        val crossE = eStep(cross, params(cross.name), Map.empty)
-        val crossM = collectRows(crossE.where(col("gamma") >= 0.5))
+        val crossM = collectRows(cross, params(cross.name), _.gamma >= 0.5)
         // A degenerate intermediate model can flood Q' with the whole
         // candidate set; constraints would be meaningless and quadratic.
         if (crossM.size <= math.max(1000, 20 * math.sqrt(cross.n.toDouble).toLong)) {
-          val mLeft  = crossM.map(_.leftId).toSet
-          val mRight = crossM.map(_.rightId).toSet
           def within(s: Prepared, ids: Set[Long]): Seq[GammaRow] =
             if (ids.isEmpty) Nil
-            else collectRows(
-              eStep(s, params(s.name), Map.empty)
-                .where(inSet(ids)(col("left_id")) && inSet(ids)(col("right_id"))))
-          val wl = within(leftSide.get, mLeft)
-          val wr = within(rightSide.get, mRight)
-          overrides = Transitivity.resolve(crossM, wl, wr)
+            else collectRows(s, params(s.name), r => ids(r.leftId) && ids(r.rightId))
+          overrides = Transitivity.resolve(crossM,
+            within(leftSide.get, crossM.map(_.leftId).toSet),
+            within(rightSide.get, crossM.map(_.rightId).toSet))
         } else overrides = Transitivity.Overrides.empty
       }
 
@@ -134,7 +126,7 @@ object Zeroer {
     gammaDf.count() // materialize before the caller unpersists the inputs
     val preds = cfg.transMode match {
       case TransMode.PostProcess =>
-        val kept = Transitivity.postProcess(collectRows(gammaDf.where(col("gamma") > 0.5)))
+        val kept = Transitivity.postProcess(collectRows(cross, params(cross.name), _.gamma > 0.5))
         val spark = gammaDf.sparkSession
         import spark.implicits._
         kept.map(r => (r.leftId, r.rightId, r.gamma)).toDF("left_id", "right_id", "gamma")

@@ -8,10 +8,10 @@ import ZeroerModel._
 /** Distributed E/M passes of the ZeroER EM algorithm.
   *
   * The candidate-pair DataFrame never leaves the cluster: the E-step is a
-  * closure over the (small) broadcast parameters, and the M-step reduces to
-  * per-feature weighted moments via `posexplode` + `groupBy(j)` — thanks to
-  * correlation sharing (§3.1) the only free covariance parameters are the
-  * per-feature standard deviations, so no pairwise products are shuffled.
+  * closure over the (small) model parameters, and the M-step reduces to
+  * per-feature weighted moments — thanks to correlation sharing (§3.1) the
+  * only free covariance parameters are the per-feature standard deviations,
+  * so each moment pass is one shuffle-free job of per-partition sums.
   */
 object ZeroerEM {
 
@@ -81,76 +81,66 @@ object ZeroerEM {
     r
   }
 
-  private def gammaColumn(params: SideParams, overrides: Map[Long, Double]) =
-    udf { (id: Long, x: Seq[Double]) =>
-      overrides.getOrElse(id, params.gamma(x.toArray))
-    }
-
-  private def initGammaColumn(eps: Double) =
-    udf { (x: Seq[Double]) => if (x.sum / x.length > eps) 1.0 else 0.0 }
-
-  private def loglikColumn(params: SideParams) =
-    udf { (x: Seq[Double]) => params.loglik(x.toArray) }
+  /** γ (the transitivity override where one is set), la and lb of one pair. */
+  private def posterior(params: SideParams, overrides: Map[Long, Double],
+                        id: Long, x: Array[Double]): (Double, Double, Double) = {
+    val (la, lb) = params.logJoint(x)
+    (overrides.getOrElse(id, LinAlg.posterior(la, lb)), la, lb)
+  }
 
   /** Weighted moment pass (M-step statistics, Eq. 5 restricted to the 4d+1
     * free parameters). `params = None` means the initialization pass
     * (Algorithm 1 line 4: γ = 1 iff mean scaled similarity > ε).
+    *
+    * One job without a shuffle: each partition evaluates the model once per
+    * pair and sums γ, the log-likelihood, γx, γx², x and x²; the driver adds
+    * the sums in partition order.
     */
   def moments(p: Prepared, params: Option[SideParams],
               overrides: Map[Long, Double], epsInit: Double): Moments = {
-    val withG = params match {
-      case Some(th) =>
-        p.pairs.select(
-          col("features"),
-          gammaColumn(th, overrides)(col("pair_id"), col("features")).as("g"),
-          loglikColumn(th)(col("features")).as("ll"),
-        )
-      case None =>
-        p.pairs.select(
-          col("features"),
-          initGammaColumn(epsInit)(col("features")).as("g"),
-          lit(0.0).as("ll"),
-        )
-    }
-    val rows = withG
-      .select(col("g"), col("ll"), posexplode(col("features")).as(Seq("j", "x")))
-      .groupBy("j")
-      .agg(
-        sum("g").as("sg"),
-        sum(col("g") * col("x")).as("sgx"),
-        sum(col("g") * col("x") * col("x")).as("sgxx"),
-        sum("x").as("sx"),
-        sum(col("x") * col("x")).as("sxx"),
-        sum("ll").as("sll"),
-      )
-      .collect()
-      .sortBy(_.getInt(0))
-    require(rows.length == p.d, s"moment pass returned ${rows.length} features, expected ${p.d}")
+    val d = p.d
+    // sums layout: Σγ, Σll, then Σγx, Σγx², Σx, Σx² (d each) from these offsets
+    val (gx, gxx, sx, sxx) = (2, 2 + d, 2 + 2 * d, 2 + 3 * d)
+    val spark = p.pairs.sparkSession
+    import spark.implicits._
+    val parts = p.pairs.select(col("pair_id"), col("features")).as[(Long, Array[Double])]
+      .mapPartitions { rows =>
+        val s = new Array[Double](2 + 4 * d)
+        rows.foreach { case (id, x) =>
+          require(x.length == d, s"pair $id has ${x.length} features, expected $d")
+          val (g, ll) = params match {
+            case Some(th) =>
+              val (g, la, lb) = posterior(th, overrides, id, x)
+              (g, LinAlg.logSumExp(la, lb))
+            case None => (if (x.sum / d > epsInit) 1.0 else 0.0, 0.0)
+          }
+          s(0) += g; s(1) += ll
+          var j = 0
+          while (j < d) {
+            s(gx + j) += g * x(j); s(gxx + j) += g * x(j) * x(j)
+            s(sx + j) += x(j);     s(sxx + j) += x(j) * x(j)
+            j += 1
+          }
+        }
+        Iterator(s)
+      }.collect()
+    val s = Array.tabulate(2 + 4 * d)(k => parts.foldLeft(0.0)(_ + _(k)))
 
-    val n  = p.n.toDouble
-    val nM = math.max(rows(0).getDouble(1), 1e-9)
-    val nU = math.max(n - nM, 1e-9)
-    val meanM = new Array[Double](p.d); val meanU = new Array[Double](p.d)
-    val varM  = new Array[Double](p.d); val varU  = new Array[Double](p.d)
-    rows.foreach { r =>
-      val j = r.getInt(0)
-      val sgx = r.getDouble(2); val sgxx = r.getDouble(3)
-      val sx  = r.getDouble(4); val sxx  = r.getDouble(5)
-      meanM(j) = sgx / nM
-      meanU(j) = (sx - sgx) / nU
-      varM(j)  = math.max(sgxx / nM - meanM(j) * meanM(j), 0.0)
-      varU(j)  = math.max((sxx - sgxx) / nU - meanU(j) * meanU(j), 0.0)
-    }
-    Moments(p.n, nM, meanM, meanU, varM, varU, rows(0).getDouble(6))
+    val nM    = math.max(s(0), 1e-9)
+    val nU    = math.max(p.n - nM, 1e-9)
+    val meanM = Array.tabulate(d)(j => s(gx + j) / nM)
+    val meanU = Array.tabulate(d)(j => (s(sx + j) - s(gx + j)) / nU)
+    val varM  = Array.tabulate(d)(j => math.max(s(gxx + j) / nM - meanM(j) * meanM(j), 0.0))
+    val varU  = Array.tabulate(d)(j =>
+      math.max((s(sxx + j) - s(gxx + j)) / nU - meanU(j) * meanU(j), 0.0))
+    Moments(p.n, nM, meanM, meanU, varM, varU, s(1))
   }
 
   /** E-step posterior DataFrame: pair_id, left_id, right_id, gamma, la, lb. */
   def eStep(p: Prepared, params: SideParams, overrides: Map[Long, Double]): DataFrame = {
     val post = udf { (id: Long, x: Seq[Double]) =>
-      val arr      = x.toArray
-      val (la, lb) = params.logJoint(arr)
-      val g0       = 1.0 / (1.0 + math.exp(lb - la))
-      Array(overrides.getOrElse(id, g0), la, lb)
+      val (g, la, lb) = posterior(params, overrides, id, x.toArray)
+      Array(g, la, lb)
     }
     p.pairs
       .withColumn("plb", post(col("pair_id"), col("features")))
@@ -162,7 +152,14 @@ object ZeroerEM {
       )
   }
 
-  def collectRows(df: DataFrame): Seq[GammaRow] =
-    df.collect().toSeq.map(r => GammaRow(r.getLong(0), r.getLong(1), r.getLong(2),
-                                         r.getDouble(3), r.getDouble(4), r.getDouble(5)))
+  /** The E-step rows of `p` (no overrides) that `keep` accepts, collected
+    * for transitivity resolution.
+    */
+  def collectRows(p: Prepared, params: SideParams, keep: GammaRow => Boolean): Seq[GammaRow] = {
+    val spark = p.pairs.sparkSession
+    import spark.implicits._
+    eStep(p, params, Map.empty)
+      .toDF("pairId", "leftId", "rightId", "gamma", "logA", "logB").as[GammaRow]
+      .filter(keep).collect().toSeq
+  }
 }

@@ -89,14 +89,6 @@ object ZeroerModel {
       val lb = math.log1p(-piM) + uDist.logpdf(x)
       (la, lb)
     }
-    def gamma(x: Array[Double]): Double = {
-      val (la, lb) = logJoint(x)
-      1.0 / (1.0 + math.exp(lb - la))
-    }
-    def loglik(x: Array[Double]): Double = {
-      val (la, lb) = logJoint(x)
-      LinAlg.logSumExp(la, lb)
-    }
   }
 
   /** Sufficient statistics of one weighted M-step pass. */

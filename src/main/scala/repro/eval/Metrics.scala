@@ -27,15 +27,6 @@ object Metrics {
     PRF(tp, p.count() - tp, t.count() - tp)
   }
 
-  /** P/R/F restricted to an evaluation subset of pairs (used by the
-    * supervised baselines, which only score their test split).
-    */
-  def prfOn(pred: DataFrame, truth: DataFrame, scope: DataFrame): PRF = {
-    val s = scope.select("left_id", "right_id").distinct()
-    prf(pred.join(s, Seq("left_id", "right_id")),
-        truth.join(s, Seq("left_id", "right_id")))
-  }
-
   /** Attach the ground-truth label (1.0 match / 0.0 unmatch) to a candidate
     * pair DataFrame.
     */

@@ -72,19 +72,6 @@ class LinAlgSpec extends AnyFunSuite with repro.GenChecks {
     assert(math.abs(logdetFromCholesky(cholesky(b).get) - math.log(5.0)) < 1e-12)
   }
 
-  test("quadForm known value") {
-    val a = Array(Array(2.0, 1.0), Array(1.0, 3.0))
-    // x = (1,2): 2 + 2*1*2 + 3*4 = 18
-    assert(math.abs(quadForm(a, Array(1.0, 2.0)) - 18.0) < 1e-12)
-  }
-
-  test("quadForm of PD matrix is positive (property)") {
-    forAllG2(psdGen, Gen.listOf(Gen.choose(-5.0, 5.0))) { (a, xs) =>
-      val x = xs.padTo(a.length, 1.0).take(a.length).toArray
-      if (x.exists(_ != 0.0)) { assert(quadForm(a, x) > 0.0) }
-    }
-  }
-
   test("logSumExp basic identities") {
     assert(math.abs(logSumExp(0.0, 0.0) - math.log(2.0)) < 1e-12)
     assert(logSumExp(Double.NegativeInfinity, Double.NegativeInfinity).isNegInfinity)

@@ -95,6 +95,10 @@ class TransitivitySpec extends AnyFunSuite {
       row(1, 10, 20, 0.95), row(2, 10, 21, 0.80), row(3, 11, 21, 0.70),
       row(4, 12, 22, 0.60)))
     assert(kept.map(_.pairId).toSet == Set(1L, 3L, 4L))
+    // tied posteriors (saturated at 1.0) keep the same partner in any order
+    val tied = Seq(row(5, 13, 23, 1.0), row(6, 13, 24, 1.0))
+    assert(postProcess(tied).map(_.pairId) == Seq(5L))
+    assert(postProcess(tied.reverse).map(_.pairId) == Seq(5L))
   }
 
   test("postProcess on a clean 1-1 set keeps everything") {

@@ -95,16 +95,37 @@ class ZeroerEMSpec extends SparkSpec {
   }
 
   test("moments means/variances match a driver-side computation") {
-    val p  = mkPrepared(30, 70, 3)
-    val m  = moments(p, None, Map.empty, epsInit = 0.5)
-    val xs = p.pairs.collect().map(r => r.getSeq[Double](3).toArray)
-    val g  = xs.map(x => if (x.sum / x.length > 0.5) 1.0 else 0.0)
-    val nM = g.sum
-    for (j <- 0 until 3) {
-      val mM = xs.zip(g).map { case (x, gi) => gi * x(j) }.sum / nM
-      assert(math.abs(m.meanM(j) - mM) < 1e-9)
-      val vM = xs.zip(g).map { case (x, gi) => gi * (x(j) - mM) * (x(j) - mM) }.sum / nM
-      assert(math.abs(m.varM(j) - vM) < 1e-9)
+    val p    = mkPrepared(30, 70, 3)
+    val rows = p.pairs.collect().map(r => (r.getLong(0), r.getSeq[Double](3).toArray))
+    val th   = build(moments(p, None, Map.empty, 0.5), p.corr, p.groups, cfg)
+    val ov   = Map(0L -> 0.0, 5L -> 0.3, 40L -> 0.9)
+    // (params, overrides, driver-side γ and loglik of one pair)
+    val cases: Seq[(Option[SideParams], Map[Long, Double], (Long, Array[Double]) => (Double, Double))] = Seq(
+      (None, Map.empty, (_, x) => (if (x.sum / x.length > 0.5) 1.0 else 0.0, 0.0)),
+      (Some(th), ov, (id, x) => {
+        val (la, lb) = th.logJoint(x)
+        (ov.getOrElse(id, 1.0 / (1.0 + math.exp(lb - la))), math.log(math.exp(la) + math.exp(lb)))
+      }),
+    )
+    for ((params, overrides, ref) <- cases) {
+      val m  = moments(p, params, overrides, epsInit = 0.5)
+      val gl = rows.map { case (id, x) => ref(id, x) }
+      val g  = gl.map(_._1)
+      val nM = g.sum
+      val nU = rows.length - nM
+      assert(math.abs(m.nM - nM) < 1e-12)
+      assert(math.abs(m.loglik - gl.map(_._2).sum) < 1e-12, s"loglik ${m.loglik}")
+      for (j <- 0 until 3) {
+        val xs = rows.map(_._2(j)).zip(g)
+        val mM = xs.map { case (x, gi) => gi * x }.sum / nM
+        val mU = xs.map { case (x, gi) => (1 - gi) * x }.sum / nU
+        val vM = xs.map { case (x, gi) => gi * (x - mM) * (x - mM) }.sum / nM
+        val vU = xs.map { case (x, gi) => (1 - gi) * (x - mU) * (x - mU) }.sum / nU
+        assert(math.abs(m.meanM(j) - mM) < 1e-12)
+        assert(math.abs(m.meanU(j) - mU) < 1e-12)
+        assert(math.abs(m.varM(j) - vM) < 1e-12)
+        assert(math.abs(m.varU(j) - vU) < 1e-12)
+      }
     }
   }
 

@@ -47,14 +47,6 @@ class MetricsSpec extends SparkSpec {
     assert(m.precision == 0.0 && m.recall == 0.0 && m.f1 == 0.0)
   }
 
-  test("prfOn restricts to the evaluation scope") {
-    val pred  = pairs(1L -> 10L, 2L -> 20L)
-    val truth = pairs(1L -> 10L, 3L -> 30L)
-    val scope = pairs(1L -> 10L, 2L -> 20L) // excludes (3,30)
-    val m = Metrics.prfOn(pred, truth, scope)
-    assert(m.tp == 1 && m.fp == 1 && m.fn == 0)
-  }
-
   test("withLabel marks matches 1.0 and unmatches 0.0") {
     val cand = pairs(1L -> 10L, 2L -> 20L, 3L -> 30L)
     val t    = pairs(2L -> 20L)
