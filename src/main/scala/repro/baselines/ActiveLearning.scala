@@ -1,7 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.ml.classification.RandomForestClassifier
-import org.apache.spark.ml.linalg.{Vector, Vectors}
+import org.apache.spark.ml.functions.array_to_vector
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -16,8 +17,6 @@ import repro.eval.Metrics
   */
 object ActiveLearning {
 
-  private val toVec = udf((a: Seq[Double]) => Vectors.dense(a.toArray))
-
   final case class AlResult(prf: Metrics.PRF, labelsUsed: Int,
                             history: Seq[(Int, Double)]) // (labels, F1 on pool)
 
@@ -29,22 +28,30 @@ object ActiveLearning {
            maxRounds: Int = 30, trees: Int = 50): AlResult = {
     val pool0 = labeled
       .select(col("pair_id"), col("left_id"), col("right_id"),
-              toVec(col("features")).as("fvec"), col("label"))
+              array_to_vector(col("features")).as("fvec"), col("label"))
       .cache()
     val n        = pool0.count()
     val nMatches = pool0.where(col("label") === 1.0).count()
     val stopAt   = math.min(nMatches / 2.0, n / 2.0)
 
-    var labeledIds = pool0.orderBy(rand(seed)).limit(10)
-      .select("pair_id").collect().map(_.getLong(0)).toSet
+    // pair_id -> label of the labeled pairs, collected with each query
+    var labels = Map.empty[Long, Double]
+    def label(query: DataFrame): Int = {
+      val rows = query.select("pair_id", "label").collect()
+      labels ++= rows.map(r => r.getLong(0) -> r.getDouble(1))
+      rows.length
+    }
+    label(pool0.orderBy(rand(seed)).limit(10))
     var history  = Vector.empty[(Int, Double)]
     var lastPrf  = Metrics.PRF(0, 0, 0)
     var round    = 0
     var done     = false
 
     while (round < maxRounds && !done) {
-      val train = pool0.where(col("pair_id").isin(labeledIds.toSeq: _*))
-      val rest  = pool0.where(!col("pair_id").isin(labeledIds.toSeq: _*))
+      val ids       = pool0.sparkSession.sparkContext.broadcast(labels)
+      val isLabeled = udf((id: Long) => ids.value.contains(id))
+      val train = pool0.where(isLabeled(col("pair_id")))
+      val rest  = pool0.where(!isLabeled(col("pair_id")))
       val rf = new RandomForestClassifier().setNumTrees(trees).setMaxDepth(10)
         .setSeed(seed + round).setFeaturesCol("fvec").setLabelCol("label")
       val model = rf.fit(Supervised.oversample(train))
@@ -56,25 +63,22 @@ object ActiveLearning {
       lastPrf = Metrics.prf(
         scored.where(col("prediction") === 1.0).select("left_id", "right_id"),
         rest.where(col("label") === 1.0).select("left_id", "right_id"))
-      history :+= ((labeledIds.size, lastPrf.f1))
+      history :+= ((labels.size, lastPrf.f1))
 
-      val labeledMatches = pool0
-        .where(col("pair_id").isin(labeledIds.toSeq: _*) && col("label") === 1.0).count()
-      if (labeledMatches >= stopAt || labeledIds.size >= n / 2.0) done = true
+      if (labels.count(_._2 == 1.0) >= stopAt || labels.size >= n / 2.0) done = true
       else {
-        // uncertainty sampling: probability closest to 0.5
-        val queried = scored
+        // uncertainty sampling: probability closest to 0.5, ties (a whole
+        // single-class pool scores alike) by pair_id, so reruns agree
+        done = label(scored
           .withColumn("unc", abs(pMatch(col("probability")) - lit(0.5)))
-          .orderBy(col("unc"))
-          .limit(batch)
-          .select("pair_id").collect().map(_.getLong(0))
-        if (queried.isEmpty) done = true
-        labeledIds ++= queried
+          .orderBy(col("unc"), col("pair_id"))
+          .limit(batch)) == 0
       }
       scored.unpersist()
+      ids.destroy()
       round += 1
     }
     pool0.unpersist()
-    AlResult(lastPrf, labeledIds.size, history)
+    AlResult(lastPrf, labels.size, history)
   }
 }

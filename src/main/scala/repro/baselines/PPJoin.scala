@@ -1,9 +1,11 @@
 package repro.baselines
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.blocking.Blocking
+import repro.sim.Profile
 
 /** PPJoin baseline (paper baseline 9, Xiao et al. TODS'11): a set-similarity
   * join with prefix filtering over the *concatenation of all attributes*
@@ -13,7 +15,8 @@ import repro.blocking.Blocking
   * the best F1 (only reachable with ground truth, as the paper notes).
   *
   * Prefix filtering: with tokens canonically ordered by ascending global
-  * frequency, a record of size s needs only its first
+  * frequency (the [[Blocking.vocabulary]] of both tables, blocking's order,
+  * over [[Profile.tokens]]), a record of size s needs only its first
   * `s - ceil(t*s) + 1` (Jaccard) or `s - ceil(t²*s) + 1` (Cosine) tokens
   * indexed — any qualifying partner must share one of them. Verification
   * computes the exact similarity, so the filter only needs completeness
@@ -21,43 +24,26 @@ import repro.blocking.Blocking
   */
 object PPJoin {
 
-  /** The tokens of a record's concatenated attributes. */
-  private def recordTokens(attrs: Seq[String]): Column =
-    Blocking.tokens(concat_ws(" ", attrs.map(a => coalesce(col(a), lit(""))): _*))
-
-  /** Records as (id, tokens sorted by global-frequency rank). */
-  private def tokenized(df: DataFrame, idCol: String, attrs: Seq[String],
-                        rank: DataFrame): DataFrame =
-    df.select(col(idCol).as("rid"), explode(recordTokens(attrs)).as("tok"))
-      .join(rank, "tok")
-      .groupBy("rid")
-      .agg(array_sort(collect_list(struct(col("r"), col("tok")))).as("st"))
-      .select(col("rid"), col("st.tok").as("toks"), size(col("st")).as("sz"))
-
-  /** Global token ranking (ascending document frequency, ties by token),
-    * as `(tok, r)` with ranks from 1. The vocabulary is small, so it is
-    * sorted on the driver; a global window would pull every token into one
-    * partition.
-    */
-  private[baselines] def tokenRank(left: DataFrame, right: DataFrame, idCol: String,
-                                   attrs: Seq[String]): DataFrame = {
-    def toks(df: DataFrame) = df.select(explode(recordTokens(attrs)).as("tok"))
-    val vocab = toks(left).unionByName(toks(right))
-      .groupBy("tok").agg(count(lit(1)).as("df"))
-      .collect().map(r => (r.getLong(1), r.getString(0)))
-      .sorted
-    val spark = left.sparkSession
+  /** Records as (id, tokens sorted by global-frequency rank, size). */
+  private def tokenized(df: DataFrame, idCol: String, text: Column,
+                        vocab: Broadcast[Map[String, Blocking.Term]]): DataFrame = {
+    val spark = df.sparkSession
     import spark.implicits._
-    vocab.iterator.zipWithIndex.map { case ((_, tok), i) => (tok, i + 1) }.toSeq.toDF("tok", "r")
+    Blocking.records(df, idCol, text).map { case (rid, s) =>
+      val v    = vocab.value
+      val toks = new Profile(s).tokens.sortBy(v(_).rank)
+      (rid, toks, toks.length)
+    }.toDF("rid", "toks", "sz")
   }
 
   /** Similarity join: pairs with sim(tokens_l, tokens_r) >= threshold. */
   def join(left: DataFrame, right: DataFrame, idCol: String, attrs: Seq[String],
            sim: String, threshold: Double): DataFrame = {
     require(sim == "jaccard" || sim == "cosine", s"unsupported sim $sim")
-    val rank = tokenRank(left, right, idCol, attrs)
-    val l    = tokenized(left, idCol, attrs, rank)
-    val r    = tokenized(right, idCol, attrs, rank)
+    val text  = concat_ws(" ", attrs.map(col): _*)
+    val vocab = left.sparkSession.sparkContext.broadcast(Blocking.vocabulary(Seq(left, right), text))
+    val l     = tokenized(left, idCol, text, vocab)
+    val r     = tokenized(right, idCol, text, vocab)
 
     val prefixLen: org.apache.spark.sql.Column =
       if (sim == "jaccard") col("sz") - ceil(lit(threshold) * col("sz")) + 1

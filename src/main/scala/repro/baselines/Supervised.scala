@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.ml.classification._
-import org.apache.spark.ml.linalg.Vectors
+import org.apache.spark.ml.functions.array_to_vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -13,8 +13,6 @@ import org.apache.spark.sql.functions._
 object Supervised {
 
   val methods: Seq[String] = Seq("LR", "RF", "MLP", "DM")
-
-  private val toVec = udf((a: Seq[Double]) => Vectors.dense(a.toArray))
 
   /** labeled: pair_id, left_id, right_id, features, label (from
     * [[repro.eval.Metrics.withLabel]]).
@@ -63,8 +61,8 @@ object Supervised {
   def trainPredict(method: String, train: DataFrame, test: DataFrame,
                    seed: Long = 42): DataFrame = {
     val d   = train.select(size(col("features"))).head().getInt(0)
-    val tr  = oversample(train).withColumn("fvec", toVec(col("features")))
-    val te  = test.withColumn("fvec", toVec(col("features")))
+    val tr  = oversample(train).withColumn("fvec", array_to_vector(col("features")))
+    val te  = test.withColumn("fvec", array_to_vector(col("features")))
     val model = classifier(method, d, seed).fit(tr)
     model.transform(te)
       .where(col("prediction") === 1.0)

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.ml.clustering.{GaussianMixture, KMeans}
-import org.apache.spark.ml.linalg.Vectors
+import org.apache.spark.ml.functions.array_to_vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -13,10 +13,8 @@ import repro.core.LinAlg
   */
 object Unsupervised {
 
-  private val toVec = udf((a: Seq[Double]) => Vectors.dense(a.toArray))
-
   private def withVec(pairs: DataFrame): DataFrame =
-    pairs.withColumn("fvec", toVec(col("features")))
+    pairs.withColumn("fvec", array_to_vector(col("features")))
 
   /** Naive full-covariance 2-component GMM (paper baseline 7). The match
     * component is the one with the higher total mean similarity.
@@ -48,7 +46,7 @@ object Unsupervised {
     * for ER's extreme cluster imbalance — Lloyd's algorithm with centroids
     * *fixed-initialized* at similarity 0.05 (unmatch) and 0.95 (match) in
     * every dimension, so the tiny match cluster cannot be swallowed by a
-    * random init, plus inverse-cluster-size weighting of the update step.
+    * random init. Each update is the plain mean of each cluster.
     */
   def kmRl(pairs: DataFrame, iters: Int = 15): DataFrame = {
     val d = pairs.select(size(col("features"))).head().getInt(0)

@@ -1,7 +1,11 @@
 package repro.blocking
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import scala.collection.mutable
+
+import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
+
+import repro.sim.Profile
 
 /** Token-prefix blocking (the paper's "locality sensitive hashing blocking
   * scheme" with an *overlapping size* knob, §5.1/§5.4).
@@ -13,38 +17,50 @@ import org.apache.spark.sql.functions._
   * one indexed token. A larger `overlap` indexes more tokens per record,
   * i.e. is *less* aggressive (more candidates, higher recall); `maxDf`
   * drops stop-word-like tokens whose inverted lists would explode the
-  * candidate set quadratically.
+  * candidate set quadratically. Tokens are [[Profile.tokens]]; their order
+  * is the broadcast [[vocabulary]] of the tables, which PPJoin shares.
   */
 object Blocking {
 
-  /** The distinct lower-case alphanumeric tokens of a string column: the
-    * tokenizer of blocking and of PPJoin.
+  /** A token's document frequency and its rank in the global order. */
+  final case class Term(df: Long, rank: Int)
+
+  /** Every token of `text` over `tables` with its document frequency and
+    * its rank from 1 in ascending (df, token) order. One job counts the
+    * tokens of each partition and merges the counts on the driver, which
+    * sorts the vocabulary. NULL text has no tokens.
     */
-  private[repro] def tokens(text: Column): Column =
-    array_distinct(filter(split(lower(text), "[^a-z0-9]+"), t => length(t) > 0))
+  def vocabulary(tables: Seq[DataFrame], text: Column): Map[String, Term] = {
+    val texts = tables.map(_.select(coalesce(text, lit(""))).as(Encoders.STRING)).reduce(_ union _)
+    val df = texts.rdd.aggregate(mutable.HashMap.empty[String, Long])(
+      (m, s) => { new Profile(s).tokens.foreach(t => m(t) = m.getOrElse(t, 0L) + 1); m },
+      (a, b) => { b.foreach { case (t, n) => a(t) = a.getOrElse(t, 0L) + n }; a })
+    df.toArray.sortBy { case (t, n) => (n, t) }.iterator.zipWithIndex
+      .map { case ((t, n), i) => t -> Term(n, i + 1) }.toMap
+  }
 
-  private def tokenize(df: DataFrame, idCol: String, attr: String): DataFrame =
-    df.select(col(idCol).as("rid"), explode(tokens(col(attr))).as("tok"))
+  private val IdText = Encoders.tuple(Encoders.scalaLong, Encoders.STRING)
 
-  /** Per-record prefix keys: the `overlap` rarest tokens of `attr`. */
-  private def prefixKeys(left: DataFrame, right: DataFrame, idCol: String,
-                         attr: String, overlap: Int, maxDf: Long): (DataFrame, DataFrame) = {
-    val lt = tokenize(left, idCol, attr)
-    val rt = tokenize(right, idCol, attr)
-    val dfreq = lt.unionByName(rt).groupBy("tok").agg(count(lit(1)).as("df"))
-    def keys(t: DataFrame): DataFrame =
-      t.join(dfreq, "tok")
-        .where(col("df") <= maxDf)
-        .groupBy("rid")
-        .agg(slice(array_sort(collect_list(struct(col("df"), col("tok")))), 1, overlap).as("ks"))
-        .select(col("rid"), explode(col("ks.tok")).as("tok"))
-    (keys(lt), keys(rt))
+  /** `(id, text)` of every record of `df`, NULL text as empty. */
+  private[repro] def records(df: DataFrame, idCol: String, text: Column): Dataset[(Long, String)] =
+    df.select(col(idCol).cast("long"), coalesce(text, lit(""))).as(IdText)
+
+  /** Each table's `(rid, tok)` prefix keys: a record's `overlap` rarest
+    * tokens of df <= `maxDf`, ranked by the vocabulary of all the tables.
+    */
+  private def prefixKeys(tables: Seq[DataFrame], idCol: String, attr: String,
+                         overlap: Int, maxDf: Long): Seq[DataFrame] = {
+    val vocab = tables.head.sparkSession.sparkContext.broadcast(vocabulary(tables, col(attr)))
+    tables.map(records(_, idCol, col(attr)).flatMap { case (rid, s) =>
+      val v = vocab.value
+      new Profile(s).tokens.filter(v(_).df <= maxDf).sortBy(v(_).rank).take(overlap).map(rid -> _)
+    }(IdText).toDF("rid", "tok"))
   }
 
   /** Cross-table candidate pairs `(left_id, right_id)`, distinct. */
   def candidatePairs(left: DataFrame, right: DataFrame, idCol: String,
                      attr: String, overlap: Int = 5, maxDf: Long = 80): DataFrame = {
-    val (lk, rk) = prefixKeys(left, right, idCol, attr, overlap, maxDf)
+    val Seq(lk, rk) = prefixKeys(Seq(left, right), idCol, attr, overlap, maxDf)
     lk.join(rk.withColumnRenamed("rid", "rid2"), "tok")
       .select(col("rid").as("left_id"), col("rid2").as("right_id"))
       .distinct()
@@ -53,7 +69,7 @@ object Blocking {
   /** Within-table candidate pairs with `left_id < right_id`. */
   def selfCandidatePairs(df: DataFrame, idCol: String, attr: String,
                          overlap: Int = 5, maxDf: Long = 80): DataFrame = {
-    val (k, _) = prefixKeys(df, df.limit(0), idCol, attr, overlap, maxDf)
+    val Seq(k) = prefixKeys(Seq(df), idCol, attr, overlap, maxDf)
     k.join(k.withColumnRenamed("rid", "rid2"), "tok")
       .where(col("rid") < col("rid2"))
       .select(col("rid").as("left_id"), col("rid2").as("right_id"))

@@ -24,7 +24,6 @@ object ZeroerModel {
     final case class Adaptive(kappaPrime: Double = 0.01) extends RegMode
     /** Ablation (Table 5 col 3): uniform ridge, sklearn's reg_covar default. */
     final case class Uniform(kappa: Double = 1e-6) extends RegMode
-    case object None extends RegMode
   }
 
   sealed trait TransMode
@@ -144,7 +143,6 @@ object ZeroerModel {
     val kappa: Array[Double] = cfg.regMode match {
       case RegMode.Adaptive(kp) => AdaptiveReg.adaptiveK(varM, varU, meanM, meanU, kp)
       case RegMode.Uniform(k)   => Array.fill(d)(k)
-      case RegMode.None         => Array.fill(d)(0.0)
     }
 
     val blocks = cfg.covMode match {

@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
 import repro.SparkSpec
+import repro.blocking.Blocking
 import repro.erdata.Datasets
 import repro.sim.StringSims
 
@@ -106,11 +107,10 @@ class PPJoinSpec extends SparkSpec {
               "[^a-z0-9]+"), t => length(t) > 0))).as("tok"))
     val window = toks(ds.left).unionByName(toks(ds.right))
       .groupBy("tok").agg(count(lit(1)).as("df"))
-      .select(col("tok"), row_number().over(Window.orderBy(col("df"), col("tok"))).as("r"))
-    def ranks(df: org.apache.spark.sql.DataFrame) =
-      df.collect().map(r => r.getString(0) -> r.getInt(1)).toMap
-    val got = ranks(PPJoin.tokenRank(ds.left, ds.right, "id", ds.attrs))
-    assert(got.nonEmpty && got == ranks(window))
+      .select(col("tok"), col("df"), row_number().over(Window.orderBy(col("df"), col("tok"))).as("r"))
+      .collect().map(r => r.getString(0) -> Blocking.Term(r.getLong(1), r.getInt(2))).toMap
+    val got = Blocking.vocabulary(Seq(ds.left, ds.right), concat_ws(" ", ds.attrs.map(col): _*))
+    assert(got.nonEmpty && got == window)
   }
 
   test("PP* picks the best configuration on FZ and scores well") {

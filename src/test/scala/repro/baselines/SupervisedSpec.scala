@@ -68,6 +68,8 @@ class SupervisedSpec extends SparkSpec {
     assert(res.prf.f1 > 0.7, s"${res.prf}")
     assert(res.labelsUsed < labeled.count() / 2 + 25)
     assert(res.history.nonEmpty)
+    // tied uncertainties are queried in pair_id order, so a rerun is identical
+    assert(ActiveLearning.alrf(labeled, seed = 42, batch = 25, maxRounds = 12) == res)
   }
 
   test("label budget grid is increasing and capped at n") {

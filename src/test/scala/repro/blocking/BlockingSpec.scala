@@ -1,6 +1,6 @@
 package repro.blocking
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -12,6 +12,63 @@ class BlockingSpec extends SparkSpec {
   private def tbl(rows: (Long, String)*) = {
     val sch = StructType(Seq(StructField("id", LongType), StructField("name", StringType)))
     spark.createDataFrame(spark.sparkContext.parallelize(rows.map(r => Row(r._1, r._2))), sch)
+  }
+
+  /** Blocking as it was planned in Spark SQL before the shared vocabulary:
+    * the `split(lower(...))` tokenizer, document frequencies joined back
+    * onto every token, and each record's keys by `groupBy(rid)` over the
+    * `(df, tok)`-sorted tokens. The reference for exact candidate sets.
+    */
+  private object SqlBlocking {
+    private def tokenize(df: DataFrame, attr: String): DataFrame =
+      df.select(col("id").as("rid"), explode(array_distinct(filter(
+        split(lower(col(attr)), "[^a-z0-9]+"), t => length(t) > 0))).as("tok"))
+
+    private def prefixKeys(left: DataFrame, right: DataFrame, attr: String,
+                           overlap: Int, maxDf: Long): (DataFrame, DataFrame) = {
+      val (lt, rt) = (tokenize(left, attr), tokenize(right, attr))
+      val dfreq = lt.unionByName(rt).groupBy("tok").agg(count(lit(1)).as("df"))
+      def keys(t: DataFrame): DataFrame =
+        t.join(dfreq, "tok")
+          .where(col("df") <= maxDf)
+          .groupBy("rid")
+          .agg(slice(array_sort(collect_list(struct(col("df"), col("tok")))), 1, overlap).as("ks"))
+          .select(col("rid"), explode(col("ks.tok")).as("tok"))
+      (keys(lt), keys(rt))
+    }
+
+    private def joined(lk: DataFrame, rk: DataFrame): DataFrame =
+      lk.join(rk.withColumnRenamed("rid", "rid2"), "tok")
+        .select(col("rid").as("left_id"), col("rid2").as("right_id"))
+        .distinct()
+
+    def candidatePairs(left: DataFrame, right: DataFrame, attr: String,
+                       overlap: Int, maxDf: Long): DataFrame = {
+      val (lk, rk) = prefixKeys(left, right, attr, overlap, maxDf)
+      joined(lk, rk)
+    }
+
+    def selfCandidatePairs(df: DataFrame, attr: String, overlap: Int, maxDf: Long): DataFrame = {
+      val (k, _) = prefixKeys(df, df.limit(0), attr, overlap, maxDf)
+      joined(k, k).where(col("left_id") < col("right_id"))
+    }
+  }
+
+  for (name <- Datasets.names) test(s"candidate sets equal the SQL-tokenizer plan on $name") {
+    val ds = Datasets.byName(spark, name, scale = 0.3)
+    def pairs(df: DataFrame) = df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val (a, o, m) = (ds.blockAttr, ds.blockOverlap, ds.blockMaxDf)
+    val sides = Seq(
+      "cross" -> (Blocking.candidatePairs(ds.left, ds.right, "id", a, o, m),
+                  SqlBlocking.candidatePairs(ds.left, ds.right, a, o, m))) ++
+      Seq("left" -> ds.left, "right" -> ds.right).map { case (side, t) =>
+        side -> (Blocking.selfCandidatePairs(t, "id", a, o, m), SqlBlocking.selfCandidatePairs(t, a, o, m))
+      }
+    for ((side, (got, want)) <- sides) {
+      val (g, w) = (pairs(got), pairs(want))
+      assert(w.nonEmpty && g == w,
+             s"$name $side: ${(g -- w).size} extra and ${(w -- g).size} missing of ${w.size} pairs")
+    }
   }
 
   test("pairs sharing a rare token become candidates") {

@@ -56,16 +56,12 @@ class ZeroerModelSpec extends AnyFunSuite {
     assert(p.kappa.forall(_ > 0.0))
   }
 
-  test("RegMode.None applies zero ridge") {
-    val p = build(mkMoments(), identityCorr(2), Array(0, 1),
-                  cfg.copy(regMode = RegMode.None))
-    assert(p.kappa.forall(_ == 0.0))
-  }
-
   test("RegMode.Uniform applies the constant") {
-    val p = build(mkMoments(), identityCorr(2), Array(0, 1),
-                  cfg.copy(regMode = RegMode.Uniform(0.5)))
-    assert(p.kappa.forall(_ == 0.5))
+    for (k <- Seq(0.5, 0.0)) {
+      val p = build(mkMoments(), identityCorr(2), Array(0, 1),
+                    cfg.copy(regMode = RegMode.Uniform(k)))
+      assert(p.kappa.forall(_ == k), s"kappa $k")
+    }
   }
 
   test("a zero-variance feature does not produce an infinite density") {
@@ -85,8 +81,8 @@ class ZeroerModelSpec extends AnyFunSuite {
 
   test("correlated block density differs from independent density") {
     val corr = Array(Array(1.0, 0.9), Array(0.9, 1.0))
-    val pc = build(mkMoments(), corr, Array(0, 0), cfg.copy(regMode = RegMode.None))
-    val pi = build(mkMoments(), identityCorr(2), Array(0, 0), cfg.copy(regMode = RegMode.None))
+    val pc = build(mkMoments(), corr, Array(0, 0), cfg.copy(regMode = RegMode.Uniform(0.0)))
+    val pi = build(mkMoments(), identityCorr(2), Array(0, 0), cfg.copy(regMode = RegMode.Uniform(0.0)))
     // a vector breaking the correlation pattern is less likely under pc
     val x = Array(0.9 + 0.1, 0.9 - 0.1)
     assert(pc.mDist.logpdf(x) < pi.mDist.logpdf(x))
@@ -95,8 +91,8 @@ class ZeroerModelSpec extends AnyFunSuite {
   test("cross-group correlations are ignored (block structure)") {
     val corr = Array(Array(1.0, 0.9), Array(0.9, 1.0))
     // same matrix but features in DIFFERENT groups -> independence
-    val pDiff = build(mkMoments(), corr, Array(0, 1), cfg.copy(regMode = RegMode.None))
-    val pId   = build(mkMoments(), identityCorr(2), Array(0, 1), cfg.copy(regMode = RegMode.None))
+    val pDiff = build(mkMoments(), corr, Array(0, 1), cfg.copy(regMode = RegMode.Uniform(0.0)))
+    val pId   = build(mkMoments(), identityCorr(2), Array(0, 1), cfg.copy(regMode = RegMode.Uniform(0.0)))
     val x = Array(0.95, 0.85)
     assert(math.abs(pDiff.mDist.logpdf(x) - pId.mDist.logpdf(x)) < 1e-9)
   }
@@ -104,7 +100,7 @@ class ZeroerModelSpec extends AnyFunSuite {
   test("logpdf matches the closed-form univariate Gaussian") {
     val m = mkMoments(1).copy(meanM = Array(0.5), meanU = Array(0.1),
                               varM = Array(0.04), varU = Array(0.04))
-    val p = build(m, identityCorr(1), Array(0), cfg.copy(regMode = RegMode.None))
+    val p = build(m, identityCorr(1), Array(0), cfg.copy(regMode = RegMode.Uniform(0.0)))
     val x = 0.7
     val expected = -0.5 * (math.log(2 * math.Pi) + math.log(0.04) +
                            (x - 0.5) * (x - 0.5) / 0.04)
