@@ -9,7 +9,7 @@ import org.apache.spark.sql.functions._
 import repro.eval.Metrics
 
 /** AL-RF (paper baseline 10): uncertainty-sampling active learning over a
-  * random forest, as in modAL. Starts from 10 random labels, repeatedly
+  * 50-tree random forest, as in modAL. Starts from 10 random labels, repeatedly
   * queries the pool examples whose match probability is closest to 0.5,
   * and stops once it has labeled 50% of all matches or 50% of the pool
   * (§5.1). Queries are batched (modAL's default queries one example per
@@ -25,7 +25,7 @@ object ActiveLearning {
     * @param maxRounds safety cap on AL iterations
     */
   def alrf(labeled: DataFrame, seed: Long = 42, batch: Int = 50,
-           maxRounds: Int = 30, trees: Int = 50): AlResult = {
+           maxRounds: Int = 30): AlResult = {
     val pool0 = labeled
       .select(col("pair_id"), col("left_id"), col("right_id"),
               array_to_vector(col("features")).as("fvec"), col("label"))
@@ -52,7 +52,7 @@ object ActiveLearning {
       val isLabeled = udf((id: Long) => ids.value.contains(id))
       val train = pool0.where(isLabeled(col("pair_id")))
       val rest  = pool0.where(!isLabeled(col("pair_id")))
-      val rf = new RandomForestClassifier().setNumTrees(trees).setMaxDepth(10)
+      val rf = new RandomForestClassifier().setNumTrees(50).setMaxDepth(10)
         .setSeed(seed + round).setFeaturesCol("fvec").setLabelCol("label")
       val model = rf.fit(Supervised.oversample(train))
       val scored = model.transform(rest).cache()

@@ -45,22 +45,16 @@ object PPJoin {
     val l     = tokenized(left, idCol, text, vocab)
     val r     = tokenized(right, idCol, text, vocab)
 
-    val prefixLen: org.apache.spark.sql.Column =
-      if (sim == "jaccard") col("sz") - ceil(lit(threshold) * col("sz")) + 1
-      else col("sz") - ceil(lit(threshold * threshold) * col("sz")) + 1
+    // a partner's size ratio is at least t (jaccard) or t² (cosine)
+    val ratio     = if (sim == "jaccard") threshold else threshold * threshold
+    val prefixLen = col("sz") - ceil(lit(ratio) * col("sz")) + 1
 
     def prefixes(t: DataFrame) =
       t.select(col("rid"), col("sz"),
                explode(slice(col("toks"), lit(1), greatest(prefixLen, lit(1)).cast("int"))).as("tok"))
 
-    // length filter: |y| in [t|x|, |x|/t] (jaccard) or [t²|x|, |x|/t²] (cosine)
-    val lenOk =
-      if (sim == "jaccard")
-        col("r_sz") >= lit(threshold) * col("l_sz") &&
-          col("l_sz") >= lit(threshold) * col("r_sz")
-      else
-        col("r_sz") >= lit(threshold * threshold) * col("l_sz") &&
-          col("l_sz") >= lit(threshold * threshold) * col("r_sz")
+    // length filter: |y| in [ratio·|x|, |x|/ratio]
+    val lenOk = col("r_sz") >= lit(ratio) * col("l_sz") && col("l_sz") >= lit(ratio) * col("r_sz")
 
     val cand = prefixes(l).withColumnRenamed("rid", "left_id").withColumnRenamed("sz", "l_sz")
       .join(prefixes(r).withColumnRenamed("rid", "right_id").withColumnRenamed("sz", "r_sz"), "tok")
@@ -82,16 +76,20 @@ object PPJoin {
   final case class Best(sim: String, threshold: Double, f1: Double,
                         precision: Double, recall: Double)
 
-  /** PP*: best configuration over the sweep, chosen with ground truth. */
+  /** PP*: best configuration over the sweep, chosen with ground truth. One
+    * `join` per measure at the lowest threshold, persisted; each threshold
+    * keeps its `sim >= t` rows, exactly `join`'s result at t (prefix
+    * filtering is complete, and `join` ends with the same filter).
+    */
   def best(left: DataFrame, right: DataFrame, idCol: String, attrs: Seq[String],
            truth: DataFrame): Best = {
-    val configs = for {
-      s <- Seq("jaccard", "cosine")
-      t <- Seq(0.2, 0.4, 0.6, 0.8, 1.0)
-    } yield (s, t)
-    configs.map { case (s, t) =>
-      val prf = repro.eval.Metrics.prf(join(left, right, idCol, attrs, s, t), truth)
-      Best(s, t, prf.f1, prf.precision, prf.recall)
+    val thresholds = Seq(0.2, 0.4, 0.6, 0.8, 1.0)
+    Seq("jaccard", "cosine").flatMap { s =>
+      val all = join(left, right, idCol, attrs, s, thresholds.min).persist()
+      try thresholds.map { t =>
+        val prf = repro.eval.Metrics.prf(all.where(col("sim") >= t), truth)
+        Best(s, t, prf.f1, prf.precision, prf.recall)
+      } finally all.unpersist()
     }.maxBy(_.f1)
   }
 }

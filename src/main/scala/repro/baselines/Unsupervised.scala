@@ -46,95 +46,109 @@ object Unsupervised {
     * for ER's extreme cluster imbalance — Lloyd's algorithm with centroids
     * *fixed-initialized* at similarity 0.05 (unmatch) and 0.95 (match) in
     * every dimension, so the tiny match cluster cannot be swallowed by a
-    * random init. Each update is the plain mean of each cluster.
+    * random init. Each update is the plain per-cluster mean from one pass
+    * summing each cluster's count and Σx; a typed filter returns the pairs.
     */
-  def kmRl(pairs: DataFrame, iters: Int = 15): DataFrame = {
+  def kmRl(pairs: DataFrame): DataFrame = {
     val d = pairs.select(size(col("features"))).head().getInt(0)
-    var cU = Array.fill(d)(0.05)
-    var cM = Array.fill(d)(0.95)
-    var assigned: DataFrame = null
-    for (_ <- 0 until iters) {
-      val (bU, bM) = (cU, cM)
-      val assign = udf { (x: Seq[Double]) =>
-        var dU = 0.0; var dM = 0.0
+    var (cU, cM) = (Array.fill(d)(0.05), Array.fill(d)(0.95))
+    for (_ <- 0 until KmRlUpdates) {
+      val (u, m) = (cU, cM)
+      // sums layout: count of U, count of M, then Σx of U and of M (d each)
+      val s = sums(pairs, 2 + 2 * d) { (s, x) =>
+        val k = if (nearerM(x, u, m)) 1 else 0
+        s(k) += 1
         var j = 0
-        while (j < x.length) {
-          val du = x(j) - bU(j); val dm = x(j) - bM(j)
-          dU += du * du; dM += dm * dm
-          j += 1
-        }
-        if (dM < dU) 1 else 0
+        while (j < d) { s(2 + k * d + j) += x(j); j += 1 }
       }
-      assigned = pairs.withColumn("cluster", assign(col("features")))
-      val stats = assigned
-        .select(col("cluster"), posexplode(col("features")).as(Seq("j", "x")))
-        .groupBy("cluster", "j").agg(avg("x").as("m"))
-        .collect()
-      val nM = Array.fill(d)(Double.NaN)
-      val nU = Array.fill(d)(Double.NaN)
-      stats.foreach { r =>
-        val c = r.getInt(0); val j = r.getInt(1)
-        if (c == 1) nM(j) = r.getDouble(2) else nU(j) = r.getDouble(2)
-      }
-      // empty cluster: keep previous centroid (recordlinkage behaviour)
-      cM = Array.tabulate(d)(j => if (nM(j).isNaN) cM(j) else nM(j))
-      cU = Array.tabulate(d)(j => if (nU(j).isNaN) cU(j) else nU(j))
+      // an empty cluster keeps its centroid (recordlinkage behaviour)
+      def mean(k: Int, c: Array[Double]) =
+        if (s(k) == 0) c else Array.tabulate(d)(j => s(2 + k * d + j) / s(k))
+      cU = mean(0, u); cM = mean(1, m)
     }
-    assigned.where(col("cluster") === 1).select("left_id", "right_id")
+    val (u, m) = (cU, cM)
+    matches(pairs)(nearerM(_, u, m))
   }
 
   /** ECM (paper baseline 8): Fellegi-Sunter with binary features and a
     * Bernoulli mixture fitted by expectation-conditional-maximization.
     * Features are binarized at 0.5 of their scaled range — the information
-    * loss the paper blames for ECM's poor results.
+    * loss the paper blames for ECM's poor results. Each iteration is one
+    * pass summing n, Σγ, Σγ·b and Σb; a typed filter returns the pairs.
     */
-  def ecm(pairs: DataFrame, iters: Int = 60, binThreshold: Double = 0.5): DataFrame = {
-    val d   = pairs.select(size(col("features"))).head().getInt(0)
-    val bin = udf((x: Seq[Double]) => x.map(v => if (v > binThreshold) 1.0 else 0.0).toArray)
-    val df  = pairs.withColumn("b", bin(col("features"))).select("left_id", "right_id", "b")
-    val n   = df.count().toDouble
-
-    var piM = 0.1
-    var pM  = Array.fill(d)(0.8)
-    var pU  = Array.fill(d)(0.2)
+  def ecm(pairs: DataFrame): DataFrame = {
+    val d = pairs.select(size(col("features"))).head().getInt(0)
+    var (pi, pM, pU) = (0.1, Array.fill(d)(0.8), Array.fill(d)(0.2))
     def clampP(p: Double) = math.min(math.max(p, 1e-4), 1.0 - 1e-4)
-
-    var it = 0
-    while (it < iters) {
-      val (bpM, bpU, bpi) = (pM, pU, piM)
-      val g = udf { (b: Seq[Double]) =>
-        var la = math.log(bpi); var lb = math.log1p(-bpi)
+    for (_ <- 0 until EcmIters) {
+      val (bpi, bpM, bpU) = (pi, pM, pU)
+      // sums layout: n, Σγ, then Σγ·b and Σb (d each)
+      val s = sums(pairs, 2 + 2 * d) { (s, x) =>
+        val g = ecmGamma(x, bpi, bpM, bpU)
+        s(0) += 1; s(1) += g
         var j = 0
-        while (j < b.length) {
-          if (b(j) > 0.5) { la += math.log(bpM(j)); lb += math.log(bpU(j)) }
-          else            { la += math.log1p(-bpM(j)); lb += math.log1p(-bpU(j)) }
-          j += 1
-        }
-        LinAlg.posterior(la, lb)
+        while (j < d) { if (bit(x(j))) { s(2 + j) += g; s(2 + d + j) += 1 }; j += 1 }
       }
-      val rows = df.select(g(col("b")).as("g"), posexplode(col("b")).as(Seq("j", "x")))
-        .groupBy("j")
-        .agg(sum("g").as("sg"), sum(col("g") * col("x")).as("sgx"), sum("x").as("sx"))
-        .collect().sortBy(_.getInt(0))
-      val nM = math.max(rows(0).getDouble(1), 1e-9)
-      val nU = math.max(n - nM, 1e-9)
-      pM  = rows.map(r => clampP(r.getDouble(2) / nM))
-      pU  = rows.map(r => clampP((r.getDouble(3) - r.getDouble(2)) / nU))
-      piM = math.min(math.max(nM / n, 1e-6), 1.0 - 1e-6)
-      it += 1
+      val nM = math.max(s(1), 1e-9)
+      val nU = math.max(s(0) - nM, 1e-9)
+      pi = math.min(math.max(nM / s(0), 1e-6), 1.0 - 1e-6)
+      pM = Array.tabulate(d)(j => clampP(s(2 + j) / nM))
+      pU = Array.tabulate(d)(j => clampP((s(2 + d + j) - s(2 + j)) / nU))
     }
-    // identify match component = higher mean Bernoulli rate
-    val (fM, fU, fpi) = if (pM.sum >= pU.sum) (pM, pU, piM) else (pU, pM, 1.0 - piM)
-    val gFinal = udf { (b: Seq[Double]) =>
-      var la = math.log(fpi); var lb = math.log1p(-fpi)
-      var j = 0
-      while (j < b.length) {
-        if (b(j) > 0.5) { la += math.log(fM(j)); lb += math.log(fU(j)) }
-        else            { la += math.log1p(-fM(j)); lb += math.log1p(-fU(j)) }
-        j += 1
-      }
-      LinAlg.posterior(la, lb)
+    // the match component is the one with the higher mean Bernoulli rate
+    val (fpi, fM, fU) = if (pM.sum >= pU.sum) (pi, pM, pU) else (1.0 - pi, pU, pM)
+    matches(pairs)(ecmGamma(_, fpi, fM, fU) > 0.5)
+  }
+
+  // KM-RL makes 15 passes: 14 centroid updates, then the assignment returned
+  private val KmRlUpdates = 14
+  private val EcmIters    = 60
+
+  /** KM-RL's rule: x is strictly nearer the match centroid `m` than `u`. */
+  private def nearerM(x: Array[Double], u: Array[Double], m: Array[Double]): Boolean = {
+    var dU = 0.0; var dM = 0.0
+    var j = 0
+    while (j < x.length) {
+      val du = x(j) - u(j); val dm = x(j) - m(j)
+      dU += du * du; dM += dm * dm
+      j += 1
     }
-    df.where(gFinal(col("b")) > 0.5).select("left_id", "right_id")
+    dM < dU
+  }
+
+  /** ECM's rule: γ of x's bits under prior `pi` and Bernoulli rates `pM`, `pU`. */
+  private def ecmGamma(x: Array[Double], pi: Double, pM: Array[Double], pU: Array[Double]): Double = {
+    var la = math.log(pi); var lb = math.log1p(-pi)
+    var j = 0
+    while (j < x.length) {
+      if (bit(x(j))) { la += math.log(pM(j)); lb += math.log(pU(j)) }
+      else           { la += math.log1p(-pM(j)); lb += math.log1p(-pU(j)) }
+      j += 1
+    }
+    LinAlg.posterior(la, lb)
+  }
+
+  private def bit(v: Double): Boolean = v > 0.5
+
+  /** One job without a shuffle: per-partition sums of `width` doubles over
+    * the feature vectors, added on the driver in partition order.
+    */
+  private def sums(pairs: DataFrame, width: Int)(add: (Array[Double], Array[Double]) => Unit): Array[Double] = {
+    val spark = pairs.sparkSession
+    import spark.implicits._
+    val parts = pairs.select(col("features")).as[Array[Double]].mapPartitions { rows =>
+      val s = new Array[Double](width)
+      rows.foreach(add(s, _))
+      Iterator(s)
+    }.collect()
+    Array.tabulate(width)(k => parts.foldLeft(0.0)(_ + _(k)))
+  }
+
+  /** (left_id, right_id) of the pairs whose features `keep` accepts. */
+  private def matches(pairs: DataFrame)(keep: Array[Double] => Boolean): DataFrame = {
+    val spark = pairs.sparkSession
+    import spark.implicits._
+    pairs.select("left_id", "right_id", "features").as[(Long, Long, Array[Double])]
+      .filter(r => keep(r._3)).select("left_id", "right_id")
   }
 }

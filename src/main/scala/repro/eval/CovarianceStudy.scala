@@ -14,51 +14,45 @@ object CovarianceStudy {
 
   final case class Table1Row(dataset: String, cosCov: Double, cosCorr: Double)
 
-  /** Per-class sample covariance via a distributed moment aggregation over
-    * the labeled candidate-pair features.
+  /** Sample covariance of the matches and of the unmatches, masked to the
+    * feature groups, from one shuffle-free pass: each partition sums n, Σx
+    * and the lower triangle of Σxᵢxⱼ per label, and the driver adds the
+    * sums in partition order.
     */
-  private def classCovariance(labeled: DataFrame, matchClass: Boolean,
-                              d: Int): Array[Array[Double]] = {
-    val sel = labeled.where(col("label") === (if (matchClass) 1.0 else 0.0))
-    val (n, sums, prods) = sel
-      .select(col("features"))
-      .rdd
-      .map(r => r.getSeq[Double](0).toArray)
-      .treeAggregate((0L, new Array[Double](d), Array.ofDim[Double](d, d)))(
-        seqOp = { case ((n, s, p), x) =>
-          var i = 0
+  private def classCovariances(labeled: DataFrame,
+                               groups: Array[Int]): (Array[Array[Double]], Array[Array[Double]]) = {
+    val d     = groups.length
+    // sums layout per class (match first): n, Σx (d), Σxᵢxⱼ for j <= i
+    val width = 1 + d + d * (d + 1) / 2
+    val spark = labeled.sparkSession
+    import spark.implicits._
+    val parts = labeled.select(col("label"), col("features")).as[(Double, Array[Double])]
+      .mapPartitions { rows =>
+        val s = new Array[Double](2 * width)
+        rows.foreach { case (label, x) =>
+          val o = if (label == 1.0) 0 else width
+          s(o) += 1
+          var i = 0; var k = o + 1 + d
           while (i < d) {
-            s(i) += x(i)
+            s(o + 1 + i) += x(i)
             var j = 0
-            while (j <= i) { p(i)(j) += x(i) * x(j); j += 1 }
+            while (j <= i) { s(k) += x(i) * x(j); k += 1; j += 1 }
             i += 1
           }
-          (n + 1, s, p)
-        },
-        combOp = { case ((n1, s1, p1), (n2, s2, p2)) =>
-          var i = 0
-          while (i < d) {
-            s1(i) += s2(i)
-            var j = 0
-            while (j <= i) { p1(i)(j) += p2(i)(j); j += 1 }
-            i += 1
-          }
-          (n1 + n2, s1, p1)
-        })
-    val cov = Array.ofDim[Double](d, d)
-    if (n > 1) {
-      var i = 0
-      while (i < d) {
-        var j = 0
-        while (j <= i) {
-          val c = prods(i)(j) / n - (sums(i) / n) * (sums(j) / n)
-          cov(i)(j) = c; cov(j)(i) = c
-          j += 1
         }
-        i += 1
+        Iterator(s)
+      }.collect()
+    val s = Array.tabulate(2 * width)(k => parts.foldLeft(0.0)(_ + _(k)))
+    def cov(o: Int): Array[Array[Double]] = {
+      val n = s(o)
+      def mean(i: Int) = s(o + 1 + i) / n
+      Array.tabulate(d, d) { (i, j) =>
+        val (a, b) = if (j <= i) (i, j) else (j, i)
+        if (n > 1 && groups(i) == groups(j)) s(o + 1 + d + a * (a + 1) / 2 + b) / n - mean(a) * mean(b)
+        else 0.0
       }
     }
-    cov
+    (cov(0), cov(width))
   }
 
   private def toCorrelation(cov: Array[Array[Double]]): Array[Array[Double]] = {
@@ -71,19 +65,12 @@ object CovarianceStudy {
     }
   }
 
-  private def maskToGroups(m: Array[Array[Double]], groups: Array[Int]): Array[Array[Double]] =
-    Array.tabulate(m.length, m.length)((i, j) =>
-      if (groups(i) == groups(j)) m(i)(j) else 0.0)
-
   /** @param labeled candidate pairs with `features` and ground-truth `label`
     * @param groups  feature -> attribute-group index (Figure 4(b) blocks)
     */
   def table1Row(name: String, labeled: DataFrame, groups: Array[Int]): Table1Row = {
-    val d    = groups.length
-    val sM   = maskToGroups(classCovariance(labeled, matchClass = true, d), groups)
-    val sU   = maskToGroups(classCovariance(labeled, matchClass = false, d), groups)
-    val rM   = maskToGroups(toCorrelation(sM), groups)
-    val rU   = maskToGroups(toCorrelation(sU), groups)
-    Table1Row(name, LinAlg.cosineFlat(sM, sU), LinAlg.cosineFlat(rM, rU))
+    val (sM, sU) = classCovariances(labeled, groups)
+    Table1Row(name, LinAlg.cosineFlat(sM, sU),
+              LinAlg.cosineFlat(toCorrelation(sM), toCorrelation(sU)))
   }
 }

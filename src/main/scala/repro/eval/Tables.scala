@@ -85,7 +85,7 @@ object Tables {
       val t0 = System.nanoTime()
       val (l, r) = selfSides(spark, name, scale)
       val res = Zeroer.fit(p.cross, Some(l), Some(r),
-                           Config(transMode = TransMode.Constraint, maxIter = 40))
+                           Config(transMode = TransMode.Constraint))
       val f1  = Metrics.prf(res.predictions, p.ds.truth).f1
       (f1, (System.nanoTime() - t0) / 1000000L, res.iters)
     })

@@ -120,6 +120,12 @@ class PPJoinSpec extends SparkSpec {
     assert(best.f1 > 0.5, s"PP* should do reasonably on the easy dataset: $best")
   }
 
+  test("PP* equals the one-join-per-configuration sweep on FZ") {
+    val ds = Datasets.fz(spark, scale = 0.3)
+    assert(PPJoin.best(ds.left, ds.right, "id", ds.attrs, ds.truth) ==
+             ShuffleBaselines.ppBest(ds.left, ds.right, "id", ds.attrs, ds.truth))
+  }
+
   test("Oracle: verification-phase jaccard matches SQL computation") {
     val l = tbl(1L -> "a b c", 2L -> "x y")
     val r = tbl(10L -> "b c d", 11L -> "x z")

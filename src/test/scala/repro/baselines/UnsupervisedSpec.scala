@@ -5,6 +5,8 @@ import org.apache.spark.sql.types._
 import scala.util.Random
 
 import repro.SparkSpec
+import repro.core.Zeroer
+import repro.erdata.Datasets
 import repro.eval.Metrics
 
 /** Unsupervised baselines on a controlled, well-separated synthetic
@@ -92,4 +94,23 @@ class UnsupervisedSpec extends SparkSpec {
     val b = Unsupervised.gmm(df, seed = 7).collect().toSet
     assert(a == b)
   }
+
+  private def pairSet(df: DataFrame): Set[(Long, Long)] =
+    df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+
+  for (name <- Seq("DS", "AB", "AG"))
+    test(s"ECM and KM-RL predict the same pairs as the shuffle reference on $name") {
+      val cross = Zeroer.prepareCross(Datasets.byName(spark, name, scale = 0.3))
+      try {
+        for ((method, onePass, reference) <- Seq(
+               ("ECM", Unsupervised.ecm _, ShuffleBaselines.ecm(_: DataFrame)),
+               ("KM-RL", Unsupervised.kmRl _, ShuffleBaselines.kmRl(_: DataFrame)))) {
+          val got  = pairSet(onePass(cross.pairs))
+          val want = pairSet(reference(cross.pairs))
+          info(s"$method on $name/0.3: ${got.size} pairs")
+          assert(got.nonEmpty && got == want,
+                 s"$method: ${(got -- want).size} extra, ${(want -- got).size} missing")
+        }
+      } finally cross.pairs.unpersist()
+    }
 }
