@@ -6,6 +6,7 @@ import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import repro.blocking.Blocking
 import repro.eval.Metrics
 
 /** AL-RF (paper baseline 10): uncertainty-sampling active learning over a
@@ -20,13 +21,14 @@ object ActiveLearning {
   final case class AlResult(prf: Metrics.PRF, labelsUsed: Int,
                             history: Seq[(Int, Double)]) // (labels, F1 on pool)
 
-  /** @param labeled candidate pairs with `features` and ground-truth `label`
+  /** @param labeled candidate pairs (`left_id`, `right_id`) with `features`
+    *                and ground-truth `label`; each gets its `pair_id` here
     * @param batch   queries per iteration
     * @param maxRounds safety cap on AL iterations
     */
   def alrf(labeled: DataFrame, seed: Long = 42, batch: Int = 50,
            maxRounds: Int = 30): AlResult = {
-    val pool0 = labeled
+    val pool0 = Blocking.withPairId(labeled)
       .select(col("pair_id"), col("left_id"), col("right_id"),
               array_to_vector(col("features")).as("fvec"), col("label"))
       .cache()

@@ -14,7 +14,7 @@ object Supervised {
 
   val methods: Seq[String] = Seq("LR", "RF", "MLP", "DM")
 
-  /** labeled: pair_id, left_id, right_id, features, label (from
+  /** labeled: left_id, right_id, features, label (from
     * [[repro.eval.Metrics.withLabel]]).
     */
   final case class Split(train: DataFrame, test: DataFrame)

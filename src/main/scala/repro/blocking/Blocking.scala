@@ -86,21 +86,20 @@ object Blocking {
     pairs.join(l, "left_id").join(r, "right_id")
   }
 
-  /** Pair id `left_id << 32 | right_id`, used as the key of the EM's
-    * transitivity overrides. It depends only on the pair, so it is the same
-    * however often, and with whatever partitioning, the pairs are computed.
-    * Both ids must lie in [0, 2^32).
+  /** Pair key `l << 32 | r`, the key of the EM's transitivity overrides.
+    * It depends only on the pair, so it is the same however often, and
+    * with whatever partitioning, the pairs are computed. Both ids must lie
+    * in [0, 2^32).
     */
-  def withPairId(pairs: DataFrame): DataFrame =
-    pairs.withColumn("pair_id", pairId(col("left_id"), col("right_id")))
-
-  private val MaxId = 0xFFFFFFFFL
-
-  private val pairId = udf { (l: Long, r: Long) =>
-    require(l >= 0 && l <= MaxId && r >= 0 && r <= MaxId,
-            s"pair ($l, $r): pair ids need both ids in [0, 2^32)")
+  def pairKey(l: Long, r: Long): Long = {
+    require(l >= 0 && l <= 0xFFFFFFFFL && r >= 0 && r <= 0xFFFFFFFFL,
+            s"pair ($l, $r): pair keys need both ids in [0, 2^32)")
     l << 32 | r
   }
+
+  /** `pairs` with a `pair_id` column, the [[pairKey]] of `left_id` and `right_id`. */
+  def withPairId(pairs: DataFrame): DataFrame =
+    pairs.withColumn("pair_id", udf(pairKey _).apply(col("left_id"), col("right_id")))
 
   /** Blocking recall: fraction of ground-truth matches kept. */
   def recall(spark: SparkSession, pairs: DataFrame, truth: DataFrame): Double = {

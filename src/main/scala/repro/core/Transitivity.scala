@@ -9,8 +9,9 @@ import ZeroerEM.GammaRow
   * The reduced constraint set Q′ (Eq. 19) only involves premise pairs with
   * γ ≥ 0.5 — orders of magnitude fewer than the candidate set — so the
   * resolution runs on the driver over collected posteriors and returns
-  * per-side override maps (pair_id → adjusted γ) that the next M-step
-  * applies through its gamma closure.
+  * per-side override maps (pair key → adjusted γ, the key being
+  * [[repro.blocking.Blocking.pairKey]] of the pair's ids) that the next
+  * E-step and moment pass apply in place of the model's γ.
   *
   * For a violated constraint γ₁·γ₂ ≤ γ_c the three axis projections of
   * Eq. 18 are: lower premise 1 to γ_c/γ₂, lower premise 2 to γ_c/γ₁, or
@@ -29,7 +30,6 @@ object Transitivity {
                              right: Map[Long, Double]) {
     def size: Int = cross.size + left.size + right.size
   }
-  object Overrides { val empty: Overrides = Overrides(Map.empty, Map.empty, Map.empty) }
 
   private final class Var(val side: Int, val pairId: Long, val present: Boolean,
                           var value: Double, val la: Double, val lb: Double) {

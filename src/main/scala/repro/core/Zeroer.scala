@@ -58,61 +58,57 @@ object Zeroer {
       .persist(StorageLevel.MEMORY_AND_DISK)
     val (pairs, n) =
       try {
-        val p = Blocking.withPairId(FeatureGen.imputeAndScale(raw))
-          .select(col("pair_id"), col("left_id"), col("right_id"), col("features"))
-          .persist(StorageLevel.MEMORY_AND_DISK)
+        val p = FeatureGen.imputeAndScale(raw).persist(StorageLevel.MEMORY_AND_DISK)
         (p, p.count())
       } finally raw.unpersist(blocking = true)
     val corr = sharedCorrelation(pairs, "features", groups)
     Prepared(name, pairs, d, groups, n, corr)
   }
 
-  /** Fit the generative model. With `TransMode.Constraint` the left/right
-    * sides must be provided (Algorithm 2); otherwise only the cross side
-    * is used (Algorithm 1).
+  /** Fit the generative model. With `TransMode.Constraint` and both
+    * within-table sides, Algorithm 2 fits all three sides and resolves
+    * transitivity between them; otherwise only the cross side is fitted
+    * (Algorithm 1). The within-table sides come both or neither.
     */
   def fit(cross: Prepared, leftSide: Option[Prepared], rightSide: Option[Prepared],
           cfg: Config): FitResult = {
+    require(leftSide.isDefined == rightSide.isDefined,
+            "fit takes both within-table sides or neither")
     val t0 = System.nanoTime()
+    // Index-aligned with Transitivity's sides: 0 cross, 1 left, 2 right.
     val sides: Seq[Prepared] =
-      if (cfg.transMode == TransMode.Constraint)
-        Seq(Some(cross), leftSide, rightSide).flatten
+      if (cfg.transMode == TransMode.Constraint) cross +: (leftSide.toSeq ++ rightSide.toSeq)
       else Seq(cross)
+    val constrained = sides.size == 3
 
     // Initialization M-step from the thresholded γ (Algorithm 1 lines 4, 8-12).
-    var params: Map[String, SideParams] = sides.map { s =>
-      s.name -> build(moments(s, None, Map.empty, cfg.epsInit), s.corr, s.groups, cfg)
-    }.toMap
-    var overrides  = Transitivity.Overrides.empty
-    var prevLL     = Double.NegativeInfinity
-    var iter       = 0
-    var converged  = false
-
-    def ovFor(s: Prepared): Map[Long, Double] =
-      if (s eq cross) overrides.cross
-      else if (leftSide.exists(_ eq s)) overrides.left
-      else overrides.right
+    var params = sides.map(s => build(moments(s, None, Map.empty, cfg.epsInit), s.corr, s.groups, cfg))
+    var overrides: Seq[Map[Long, Double]] = sides.map(_ => Map.empty)
+    var prevLL    = Double.NegativeInfinity
+    var iter      = 0
+    var converged = false
 
     while (iter < cfg.maxIter && !converged) {
       // E-step + transitivity resolution (Algorithm 2 lines 5-7).
-      if (cfg.transMode == TransMode.Constraint && leftSide.isDefined && rightSide.isDefined) {
-        val crossM = collectRows(cross, params(cross.name), _.gamma >= 0.5)
+      if (constrained) {
+        val crossM = collectRows(cross, params(0), _.gamma >= 0.5)
         // A degenerate intermediate model can flood Q' with the whole
         // candidate set; constraints would be meaningless and quadratic.
-        if (crossM.size <= math.max(1000, 20 * math.sqrt(cross.n.toDouble).toLong)) {
-          def within(s: Prepared, ids: Set[Long]): Seq[GammaRow] =
-            if (ids.isEmpty) Nil
-            else collectRows(s, params(s.name), r => ids(r.leftId) && ids(r.rightId))
-          overrides = Transitivity.resolve(crossM,
-            within(leftSide.get, crossM.map(_.leftId).toSet),
-            within(rightSide.get, crossM.map(_.rightId).toSet))
-        } else overrides = Transitivity.Overrides.empty
+        overrides =
+          if (crossM.size <= math.max(1000, 20 * math.sqrt(cross.n.toDouble).toLong)) {
+            def within(i: Int, ids: Set[Long]): Seq[GammaRow] =
+              if (ids.isEmpty) Nil
+              else collectRows(sides(i), params(i), r => ids(r.leftId) && ids(r.rightId))
+            val o = Transitivity.resolve(crossM, within(1, crossM.map(_.leftId).toSet),
+                                         within(2, crossM.map(_.rightId).toSet))
+            Seq(o.cross, o.left, o.right)
+          } else sides.map(_ => Map.empty)
       }
 
       // M-step over the (possibly constraint-adjusted) posteriors
-      val moms = sides.map(s => s -> moments(s, Some(params(s.name)), ovFor(s), cfg.epsInit))
-      val ll   = moms.map(_._2.loglik).sum
-      params   = moms.map { case (s, m) => s.name -> build(m, s.corr, s.groups, cfg) }.toMap
+      val moms = sides.indices.map(i => moments(sides(i), Some(params(i)), overrides(i), cfg.epsInit))
+      val ll   = moms.map(_.loglik).sum
+      params   = sides.indices.map(i => build(moms(i), sides(i).corr, sides(i).groups, cfg))
 
       converged = math.abs(ll - prevLL) <= cfg.tol * (1.0 + math.abs(ll))
       prevLL = ll
@@ -120,21 +116,18 @@ object Zeroer {
     }
 
     // Final posteriors and predictions.
-    val gammaDf = eStep(cross, params(cross.name),
-                        if (cfg.transMode == TransMode.Constraint) overrides.cross else Map.empty)
-      .persist(StorageLevel.MEMORY_AND_DISK)
+    val gammaDf = eStep(cross, params(0), overrides(0)).persist(StorageLevel.MEMORY_AND_DISK)
     gammaDf.count() // materialize before the caller unpersists the inputs
     val preds = cfg.transMode match {
       case TransMode.PostProcess =>
-        val kept = Transitivity.postProcess(collectRows(cross, params(cross.name), _.gamma > 0.5))
+        val kept = Transitivity.postProcess(collectRows(cross, params(0), _.gamma > 0.5))
         val spark = gammaDf.sparkSession
         import spark.implicits._
         kept.map(r => (r.leftId, r.rightId, r.gamma)).toDF("left_id", "right_id", "gamma")
       case _ =>
         gammaDf.where(col("gamma") > 0.5).select("left_id", "right_id", "gamma")
     }
-    FitResult(preds, gammaDf, params(cross.name), iter, converged,
-              (System.nanoTime() - t0) / 1000000L)
+    FitResult(preds, gammaDf, params(0), iter, converged, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** End-to-end: blocking + features + fit on a benchmark dataset. */

@@ -1,33 +1,37 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
+
+import repro.blocking.Blocking.pairKey
 
 import ZeroerModel._
 
 /** Distributed E/M passes of the ZeroER EM algorithm.
   *
   * The candidate-pair DataFrame never leaves the cluster: the E-step is a
-  * closure over the (small) model parameters, and the M-step reduces to
+  * typed map over the (small) model parameters, and the M-step reduces to
   * per-feature weighted moments — thanks to correlation sharing (§3.1) the
   * only free covariance parameters are the per-feature standard deviations,
   * so each moment pass is one shuffle-free job of per-partition sums.
+  * Each pass derives a pair's key from its ids: [[repro.blocking.Blocking.pairKey]].
   */
 object ZeroerEM {
 
   /** A candidate-pair side ready for EM: scaled features + shared
-    * correlation matrix (block-masked to the feature groups).
+    * correlation matrix (block-masked to the feature groups). `pairs` holds
+    * `left_id`, `right_id` and `features`, and is cached.
     */
   final case class Prepared(
       name: String,
-      pairs: DataFrame, // pair_id, left_id, right_id, features (cached)
+      pairs: DataFrame,
       d: Int,
       groups: Array[Int],
       n: Long,
       corr: Array[Array[Double]],
   )
 
-  /** One posterior row, as collected for transitivity resolution. */
+  /** One posterior row: the pair's key and ids, γ, la and lb. */
   final case class GammaRow(pairId: Long, leftId: Long, rightId: Long,
                             gamma: Double, logA: Double, logB: Double)
 
@@ -81,11 +85,12 @@ object ZeroerEM {
     r
   }
 
-  /** γ (the transitivity override where one is set), la and lb of one pair. */
+  /** Pair (l, r)'s posterior row; γ is its transitivity override where one is set. */
   private def posterior(params: SideParams, overrides: Map[Long, Double],
-                        id: Long, x: Array[Double]): (Double, Double, Double) = {
+                        l: Long, r: Long, x: Array[Double]): GammaRow = {
     val (la, lb) = params.logJoint(x)
-    (overrides.getOrElse(id, LinAlg.posterior(la, lb)), la, lb)
+    val key      = pairKey(l, r)
+    GammaRow(key, l, r, overrides.getOrElse(key, LinAlg.posterior(la, lb)), la, lb)
   }
 
   /** Weighted moment pass (M-step statistics, Eq. 5 restricted to the 4d+1
@@ -103,27 +108,26 @@ object ZeroerEM {
     val (gx, gxx, sx, sxx) = (2, 2 + d, 2 + 2 * d, 2 + 3 * d)
     val spark = p.pairs.sparkSession
     import spark.implicits._
-    val parts = p.pairs.select(col("pair_id"), col("features")).as[(Long, Array[Double])]
-      .mapPartitions { rows =>
-        val s = new Array[Double](2 + 4 * d)
-        rows.foreach { case (id, x) =>
-          require(x.length == d, s"pair $id has ${x.length} features, expected $d")
-          val (g, ll) = params match {
-            case Some(th) =>
-              val (g, la, lb) = posterior(th, overrides, id, x)
-              (g, LinAlg.logSumExp(la, lb))
-            case None => (if (x.sum / d > epsInit) 1.0 else 0.0, 0.0)
-          }
-          s(0) += g; s(1) += ll
-          var j = 0
-          while (j < d) {
-            s(gx + j) += g * x(j); s(gxx + j) += g * x(j) * x(j)
-            s(sx + j) += x(j);     s(sxx + j) += x(j) * x(j)
-            j += 1
-          }
+    val parts = pairsOf(p).mapPartitions { rows =>
+      val s = new Array[Double](2 + 4 * d)
+      rows.foreach { case (l, r, x) =>
+        require(x.length == d, s"pair ($l, $r) has ${x.length} features, expected $d")
+        val (g, ll) = params match {
+          case Some(th) =>
+            val q = posterior(th, overrides, l, r, x)
+            (q.gamma, LinAlg.logSumExp(q.logA, q.logB))
+          case None => (if (x.sum / d > epsInit) 1.0 else 0.0, 0.0)
         }
-        Iterator(s)
-      }.collect()
+        s(0) += g; s(1) += ll
+        var j = 0
+        while (j < d) {
+          s(gx + j) += g * x(j); s(gxx + j) += g * x(j) * x(j)
+          s(sx + j) += x(j);     s(sxx + j) += x(j) * x(j)
+          j += 1
+        }
+      }
+      Iterator(s)
+    }.collect()
     val s = Array.tabulate(2 + 4 * d)(k => parts.foldLeft(0.0)(_ + _(k)))
 
     val nM    = math.max(s(0), 1e-9)
@@ -136,30 +140,28 @@ object ZeroerEM {
     Moments(p.n, nM, meanM, meanU, varM, varU, s(1))
   }
 
-  /** E-step posterior DataFrame: pair_id, left_id, right_id, gamma, la, lb. */
-  def eStep(p: Prepared, params: SideParams, overrides: Map[Long, Double]): DataFrame = {
-    val post = udf { (id: Long, x: Seq[Double]) =>
-      val (g, la, lb) = posterior(params, overrides, id, x.toArray)
-      Array(g, la, lb)
-    }
-    p.pairs
-      .withColumn("plb", post(col("pair_id"), col("features")))
-      .select(
-        col("pair_id"), col("left_id"), col("right_id"),
-        col("plb").getItem(0).as("gamma"),
-        col("plb").getItem(1).as("la"),
-        col("plb").getItem(2).as("lb"),
-      )
+  /** `(left_id, right_id, features)` of every pair of `p`. */
+  private def pairsOf(p: Prepared): Dataset[(Long, Long, Array[Double])] = {
+    val spark = p.pairs.sparkSession
+    import spark.implicits._
+    p.pairs.select(col("left_id"), col("right_id"), col("features")).as[(Long, Long, Array[Double])]
   }
+
+  /** The E-step of `p` as a lazy typed map: one posterior row per pair. */
+  private def posteriors(p: Prepared, params: SideParams,
+                         overrides: Map[Long, Double]): Dataset[GammaRow] = {
+    val spark = p.pairs.sparkSession
+    import spark.implicits._
+    pairsOf(p).map { case (l, r, x) => posterior(params, overrides, l, r, x) }
+  }
+
+  /** E-step posterior DataFrame: pair_id, left_id, right_id, gamma, la, lb. */
+  def eStep(p: Prepared, params: SideParams, overrides: Map[Long, Double]): DataFrame =
+    posteriors(p, params, overrides).toDF("pair_id", "left_id", "right_id", "gamma", "la", "lb")
 
   /** The E-step rows of `p` (no overrides) that `keep` accepts, collected
     * for transitivity resolution.
     */
-  def collectRows(p: Prepared, params: SideParams, keep: GammaRow => Boolean): Seq[GammaRow] = {
-    val spark = p.pairs.sparkSession
-    import spark.implicits._
-    eStep(p, params, Map.empty)
-      .toDF("pairId", "leftId", "rightId", "gamma", "logA", "logB").as[GammaRow]
-      .filter(keep).collect().toSeq
-  }
+  def collectRows(p: Prepared, params: SideParams, keep: GammaRow => Boolean): Seq[GammaRow] =
+    posteriors(p, params, Map.empty).filter(keep).collect().toSeq
 }

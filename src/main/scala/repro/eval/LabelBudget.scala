@@ -33,7 +33,7 @@ object LabelBudget {
         if (k >= n) Supervised.f1(method, labeled, seed).f1 // all data: 50/50 protocol
         else {
           val train = labeled.orderBy(rand(seed + k)).limit(k)
-          val rest  = labeled.join(train.select("pair_id"), Seq("pair_id"), "left_anti")
+          val rest  = labeled.join(train.select("left_id", "right_id"), Seq("left_id", "right_id"), "left_anti")
           val test  = if (n - k > EvalCap) rest.sample(EvalCap.toDouble / (n - k), seed) else rest
           if (train.where(col("label") === 1.0).count() == 0) 0.0
           else Metrics.prf(

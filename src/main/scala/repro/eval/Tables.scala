@@ -86,7 +86,7 @@ object Tables {
       val (l, r) = selfSides(spark, name, scale)
       val res = Zeroer.fit(p.cross, Some(l), Some(r),
                            Config(transMode = TransMode.Constraint))
-      val f1  = Metrics.prf(res.predictions, p.ds.truth).f1
+      val f1  = try Metrics.prf(res.predictions, p.ds.truth).f1 finally res.gammaDf.unpersist()
       (f1, (System.nanoTime() - t0) / 1000000L, res.iters)
     })
 
@@ -155,7 +155,7 @@ object Tables {
       val cfg   = cfg0.copy(maxIter = 25)
       val sides = if (cfg.transMode == TransMode.Constraint) (Some(l), Some(r)) else (None, None)
       val res   = Zeroer.fit(p.cross, sides._1, sides._2, cfg)
-      Metrics.prf(res.predictions, truth).f1
+      try Metrics.prf(res.predictions, truth).f1 finally res.gammaDf.unpersist()
     }
     val f1s = Map(
       "ZeroER" -> zeroerFull(spark, name, scale)._1,

@@ -21,7 +21,7 @@ class SupervisedSpec extends SparkSpec {
     val s = Supervised.split5050(labeled, seed = 1)
     val n = labeled.count()
     assert(s.train.count() + s.test.count() == n)
-    assert(s.train.join(s.test, Seq("pair_id")).count() == 0)
+    assert(s.train.join(s.test, Seq("left_id", "right_id")).count() == 0)
   }
 
   test("oversample raises the match fraction") {

@@ -1,10 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.Row
 
 import repro.SparkSpec
 import repro.blocking.Blocking
 import repro.core.ZeroerEM.Prepared
+import repro.core.ZeroerModel.Config
 import repro.erdata.{Datasets, ErDataset}
 import repro.sim.StringSims
 
@@ -65,11 +66,7 @@ class PrepareSpec extends SparkSpec {
   }
 
   private def prepared(p: Prepared): Map[(Long, Long), Array[Double]] =
-    p.pairs.collect().map(r => (r.getLong(1), r.getLong(2)) -> r.getSeq[Double](3).toArray).toMap
-
-  private def idMap(df: DataFrame): Map[Long, (Long, Long)] =
-    df.select("pair_id", "left_id", "right_id").collect()
-      .map { case Row(id: Long, l: Long, r: Long) => id -> ((l, r)) }.toMap
+    p.pairs.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getSeq[Double](2).toArray).toMap
 
   for (name <- Datasets.names) test(s"prepared features equal the string-function reference on $name") {
     val ds = Datasets.byName(spark, name, scale = 0.3)
@@ -85,15 +82,35 @@ class PrepareSpec extends SparkSpec {
     }
   }
 
-  test("pair ids of a prepared FZ side survive unpersisting and recomputing it") {
-    val ds     = Datasets.fz(spark, scale = 0.3)
-    val p      = Zeroer.prepareSelf(ds, "left")
-    val cached = idMap(p.pairs)
-    p.pairs.unpersist(blocking = true)
-    val recomputed = idMap(p.pairs)
-    assert(cached.size == p.n)
-    assert(recomputed == cached)
-    assert(cached.forall { case (id, (l, r)) => id == (l << 32 | r) })
+  test("prepared sides hold only the ids and features; posteriors key pairs by their ids") {
+    val ds    = Datasets.fz(spark, scale = 0.3)
+    val sides = Seq(Zeroer.prepareCross(ds), Zeroer.prepareSelf(ds, "left"), Zeroer.prepareSelf(ds, "right"))
+    try {
+      sides.foreach(s => assert(s.pairs.columns.toSeq == Seq("left_id", "right_id", "features"), s.name))
+      val res = Zeroer.fit(sides(0), Some(sides(1)), Some(sides(2)), Config())
+      try {
+        val rows = res.gammaDf.select("pair_id", "left_id", "right_id").collect()
+        assert(rows.length == sides(0).n)
+        assert(rows.forall { case Row(id: Long, l: Long, r: Long) => id == (l << 32 | r) })
+      } finally res.gammaDf.unpersist()
+    } finally sides.foreach(_.pairs.unpersist())
+  }
+
+  test("Algorithm 2 on FZ is unchanged when every pass recomputes its sides") {
+    val ds    = Datasets.fz(spark, scale = 0.3)
+    val sides = Seq(Zeroer.prepareCross(ds), Zeroer.prepareSelf(ds, "left"), Zeroer.prepareSelf(ds, "right"))
+    def outcome(): (Set[(Long, Long)], Map[(Long, Long), Double]) = {
+      val res = Zeroer.fit(sides(0), Some(sides(1)), Some(sides(2)), Config())
+      try (res.predictions.collect().map(r => (r.getLong(0), r.getLong(1))).toSet,
+           res.gammaDf.collect().map(r => (r.getLong(1), r.getLong(2)) -> r.getDouble(3)).toMap)
+      finally res.gammaDf.unpersist()
+    }
+    val (preds, gammas) = try outcome() finally sides.foreach(_.pairs.unpersist(blocking = true))
+    val (preds2, gammas2) = outcome()
+    assert(preds.nonEmpty && preds2 == preds)
+    assert(gammas2.keySet == gammas.keySet)
+    val diff = gammas.map { case (k, g) => math.abs(g - gammas2(k)) }.max
+    assert(diff <= 1e-9, s"max |Δγ| = $diff")
   }
 
   test("preparation leaves only the prepared side cached") {

@@ -5,6 +5,7 @@ import org.apache.spark.sql.types._
 import scala.util.Random
 
 import repro.SparkSpec
+import repro.blocking.Blocking.pairKey
 import ZeroerModel._
 import ZeroerEM._
 
@@ -16,11 +17,10 @@ class ZeroerEMSpec extends SparkSpec {
                          cM: Double = 0.85, cU: Double = 0.2): Prepared = {
     val r = new Random(seed)
     def vec(c: Double) = Array.fill(d)(math.min(1.0, math.max(0.0, c + r.nextGaussian() * 0.08)))
-    val rows = (0 until nM).map(i => Row(i.toLong, 1000L + i, 2000L + i, vec(cM))) ++
-               (0 until nU).map(i => Row((nM + i).toLong, 1500L + i, 2500L + i, vec(cU)))
+    val rows = (0 until nM).map(i => Row(1000L + i, 2000L + i, vec(cM))) ++
+               (0 until nU).map(i => Row(1500L + i, 2500L + i, vec(cU)))
     val sch = StructType(Seq(
-      StructField("pair_id", LongType), StructField("left_id", LongType),
-      StructField("right_id", LongType),
+      StructField("left_id", LongType), StructField("right_id", LongType),
       StructField("features", ArrayType(DoubleType, containsNull = false))))
     val df = spark.createDataFrame(spark.sparkContext.parallelize(rows), sch).cache()
     val groups = Array.tabulate(d)(j => j / 2)
@@ -96,9 +96,10 @@ class ZeroerEMSpec extends SparkSpec {
 
   test("moments means/variances match a driver-side computation") {
     val p    = mkPrepared(30, 70, 3)
-    val rows = p.pairs.collect().map(r => (r.getLong(0), r.getSeq[Double](3).toArray))
+    val rows = p.pairs.collect().map(r => (pairKey(r.getLong(0), r.getLong(1)), r.getSeq[Double](2).toArray))
     val th   = build(moments(p, None, Map.empty, 0.5), p.corr, p.groups, cfg)
-    val ov   = Map(0L -> 0.0, 5L -> 0.3, 40L -> 0.9)
+    val ov   = Map(pairKey(1000, 2000) -> 0.0, pairKey(1005, 2005) -> 0.3, pairKey(1510, 2510) -> 0.9)
+    assert(ov.keySet.subsetOf(rows.map(_._1).toSet))
     // (params, overrides, driver-side γ and loglik of one pair)
     val cases: Seq[(Option[SideParams], Map[Long, Double], (Long, Array[Double]) => (Double, Double))] = Seq(
       (None, Map.empty, (_, x) => (if (x.sum / x.length > 0.5) 1.0 else 0.0, 0.0)),
@@ -152,10 +153,16 @@ class ZeroerEMSpec extends SparkSpec {
   test("gamma overrides are honored by the next moment pass") {
     val p = mkPrepared(20, 180, 4)
     val params = build(moments(p, None, Map.empty, 0.5), p.corr, p.groups, cfg)
-    // force pair 0 (a match-like vector) to gamma 0
+    // force pair (1000, 2000) (a match-like vector) to gamma 0
     val m0 = moments(p, Some(params), Map.empty, 0.5)
-    val m1 = moments(p, Some(params), Map(0L -> 0.0), 0.5)
+    val m1 = moments(p, Some(params), Map(pairKey(1000, 2000) -> 0.0), 0.5)
     assert(m1.nM < m0.nM, "override to 0 must reduce the match mass")
+  }
+
+  test("fit takes both within-table sides or neither") {
+    val p = mkPrepared(20, 80, 4)
+    for ((l, r) <- Seq((Some(p), None), (None, Some(p))))
+      intercept[IllegalArgumentException](Zeroer.fit(p, l, r, Config()))
   }
 
   test("eStep emits gamma, la, lb with gamma = sigmoid(la - lb)") {

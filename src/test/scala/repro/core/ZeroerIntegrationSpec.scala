@@ -52,24 +52,24 @@ class ZeroerIntegrationSpec extends SparkSpec {
     for (ds <- Seq(Datasets.ds(spark, scale = 0.3), Datasets.fz(spark, scale = 0.3))) {
       val sides = Seq(Zeroer.prepareCross(ds), Zeroer.prepareSelf(ds, "left"),
                       Zeroer.prepareSelf(ds, "right"))
-      def outcome(ss: Seq[ZeroerEM.Prepared]): (Set[(Long, Long)], Map[Long, Double]) = {
+      def outcome(ss: Seq[ZeroerEM.Prepared]): (Set[(Long, Long)], Map[(Long, Long), Double]) = {
         val res = Zeroer.fit(ss(0), Some(ss(1)), Some(ss(2)), Config())
         try (res.predictions.collect().map(r => (r.getLong(0), r.getLong(1))).toSet,
-             res.gammaDf.collect().map(r => r.getLong(0) -> r.getDouble(3)).toMap)
+             res.gammaDf.collect().map(r => (r.getLong(1), r.getLong(2)) -> r.getDouble(3)).toMap)
         finally res.gammaDf.unpersist()
       }
       try {
         val (preds, gammas) = outcome(sides)
         for (k <- Seq(1, 3, 37)) {
           val moved = sides.map(s => s.copy(pairs = s.pairs.repartition(k)
-            .sortWithinPartitions(xxhash64(col("pair_id"), lit(k))).persist()))
+            .sortWithinPartitions(xxhash64(col("left_id"), col("right_id"), lit(k))).persist()))
           try {
             val (p2, g2) = outcome(moved)
             val (added, lost) = (p2 diff preds, preds diff p2)
             assert(added.isEmpty && lost.isEmpty,
               s"${ds.name} at $k partitions: ${preds.size} -> ${p2.size} predictions")
             assert(g2.size == gammas.size)
-            val diff = gammas.map { case (id, g) => math.abs(g - g2(id)) }.max
+            val diff = gammas.map { case (key, g) => math.abs(g - g2(key)) }.max
             assert(diff <= 1e-9, s"${ds.name} at $k partitions: max |Δγ| = $diff")
           } finally moved.foreach(_.pairs.unpersist())
         }
