@@ -1,7 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.blocking.Blocking
@@ -24,27 +23,33 @@ import repro.sim.Profile
   */
 object PPJoin {
 
-  /** Records as (id, tokens sorted by global-frequency rank, size). */
-  private def tokenized(df: DataFrame, idCol: String, text: Column,
-                        vocab: Broadcast[Map[String, Blocking.Term]]): DataFrame = {
-    val spark = df.sparkSession
+  /** Both tables as records (id, tokens sorted by global-frequency rank,
+    * size), over one vocabulary of their concatenated attributes.
+    */
+  private def tokenized(left: DataFrame, right: DataFrame, idCol: String,
+                        attrs: Seq[String]): (DataFrame, DataFrame) = {
+    val spark = left.sparkSession
     import spark.implicits._
-    Blocking.records(df, idCol, text).map { case (rid, s) =>
+    val text  = concat_ws(" ", attrs.map(col): _*)
+    val vocab = spark.sparkContext.broadcast(Blocking.vocabulary(Seq(left, right), text))
+    def records(df: DataFrame) = Blocking.records(df, idCol, text).map { case (rid, s) =>
       val v    = vocab.value
       val toks = new Profile(s).tokens.sortBy(v(_).rank)
       (rid, toks, toks.length)
     }.toDF("rid", "toks", "sz")
+    (records(left), records(right))
   }
 
   /** Similarity join: pairs with sim(tokens_l, tokens_r) >= threshold. */
   def join(left: DataFrame, right: DataFrame, idCol: String, attrs: Seq[String],
            sim: String, threshold: Double): DataFrame = {
     require(sim == "jaccard" || sim == "cosine", s"unsupported sim $sim")
-    val text  = concat_ws(" ", attrs.map(col): _*)
-    val vocab = left.sparkSession.sparkContext.broadcast(Blocking.vocabulary(Seq(left, right), text))
-    val l     = tokenized(left, idCol, text, vocab)
-    val r     = tokenized(right, idCol, text, vocab)
+    val (l, r) = tokenized(left, right, idCol, attrs)
+    joinTokenized(l, r, sim, threshold)
+  }
 
+  /** [[join]] over records already [[tokenized]]. */
+  private def joinTokenized(l: DataFrame, r: DataFrame, sim: String, threshold: Double): DataFrame = {
     // a partner's size ratio is at least t (jaccard) or t² (cosine)
     val ratio     = if (sim == "jaccard") threshold else threshold * threshold
     val prefixLen = col("sz") - ceil(lit(ratio) * col("sz")) + 1
@@ -76,20 +81,24 @@ object PPJoin {
   final case class Best(sim: String, threshold: Double, f1: Double,
                         precision: Double, recall: Double)
 
-  /** PP*: best configuration over the sweep, chosen with ground truth. One
-    * `join` per measure at the lowest threshold, persisted; each threshold
-    * keeps its `sim >= t` rows, exactly `join`'s result at t (prefix
-    * filtering is complete, and `join` ends with the same filter).
+  /** PP*: best configuration over the sweep, chosen with ground truth. Both
+    * tables are tokenized once, over one vocabulary, and persisted for the
+    * sweep; one join per measure at the lowest threshold, persisted; each
+    * threshold keeps its `sim >= t` rows, exactly `join`'s result at t
+    * (prefix filtering is complete, and `join` ends with the same filter).
     */
   def best(left: DataFrame, right: DataFrame, idCol: String, attrs: Seq[String],
            truth: DataFrame): Best = {
     val thresholds = Seq(0.2, 0.4, 0.6, 0.8, 1.0)
-    Seq("jaccard", "cosine").flatMap { s =>
-      val all = join(left, right, idCol, attrs, s, thresholds.min).persist()
+    val (l0, r0) = tokenized(left, right, idCol, attrs)
+    val (l, r)   = (l0.persist(), r0.persist())
+    try Seq("jaccard", "cosine").flatMap { s =>
+      val all = joinTokenized(l, r, s, thresholds.min).persist()
       try thresholds.map { t =>
         val prf = repro.eval.Metrics.prf(all.where(col("sim") >= t), truth)
         Best(s, t, prf.f1, prf.precision, prf.recall)
       } finally all.unpersist()
     }.maxBy(_.f1)
+    finally { l.unpersist(); r.unpersist() }
   }
 }

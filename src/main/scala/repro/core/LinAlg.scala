@@ -99,6 +99,15 @@ object LinAlg {
     2.0 * s
   }
 
+  /** Adds `v` to the compensated sum held at `a(k)` with its running
+    * error at `a(c)` (Neumaier's variant of Kahan summation).
+    */
+  def addCompensated(a: Array[Double], k: Int, c: Int, v: Double): Unit = {
+    val t = a(k) + v
+    a(c) += (if (math.abs(a(k)) >= math.abs(v)) (a(k) - t) + v else (v - t) + a(k))
+    a(k) = t
+  }
+
   /** Numerically stable log(exp(a) + exp(b)). */
   def logSumExp(a: Double, b: Double): Double = {
     val m = math.max(a, b)

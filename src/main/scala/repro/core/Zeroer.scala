@@ -80,9 +80,13 @@ object Zeroer {
       if (cfg.transMode == TransMode.Constraint) cross +: (leftSide.toSeq ++ rightSide.toSeq)
       else Seq(cross)
     val constrained = sides.size == 3
+    // Every pass of this fit maps these, each planned once.
+    val rows = sides.map(pairRows)
 
     // Initialization M-step from the thresholded γ (Algorithm 1 lines 4, 8-12).
-    var params = sides.map(s => build(moments(s, None, Map.empty, cfg.epsInit), s.corr, s.groups, cfg))
+    var params = sides.zip(rows).map { case (s, r) =>
+      build(moments(s, r, None, Map.empty, cfg.epsInit), s.corr, s.groups, cfg)
+    }
     var overrides: Seq[Map[Long, Double]] = sides.map(_ => Map.empty)
     var prevLL    = Double.NegativeInfinity
     var iter      = 0
@@ -91,14 +95,14 @@ object Zeroer {
     while (iter < cfg.maxIter && !converged) {
       // E-step + transitivity resolution (Algorithm 2 lines 5-7).
       if (constrained) {
-        val crossM = collectRows(cross, params(0), _.gamma >= 0.5)
+        val crossM = collectRows(rows(0), params(0), _.gamma >= 0.5)
         // A degenerate intermediate model can flood Q' with the whole
         // candidate set; constraints would be meaningless and quadratic.
         overrides =
           if (crossM.size <= math.max(1000, 20 * math.sqrt(cross.n.toDouble).toLong)) {
             def within(i: Int, ids: Set[Long]): Seq[GammaRow] =
               if (ids.isEmpty) Nil
-              else collectRows(sides(i), params(i), r => ids(r.leftId) && ids(r.rightId))
+              else collectRows(rows(i), params(i), r => ids(r.leftId) && ids(r.rightId))
             val o = Transitivity.resolve(crossM, within(1, crossM.map(_.leftId).toSet),
                                          within(2, crossM.map(_.rightId).toSet))
             Seq(o.cross, o.left, o.right)
@@ -106,7 +110,7 @@ object Zeroer {
       }
 
       // M-step over the (possibly constraint-adjusted) posteriors
-      val moms = sides.indices.map(i => moments(sides(i), Some(params(i)), overrides(i), cfg.epsInit))
+      val moms = sides.indices.map(i => moments(sides(i), rows(i), Some(params(i)), overrides(i), cfg.epsInit))
       val ll   = moms.map(_.loglik).sum
       params   = sides.indices.map(i => build(moms(i), sides(i).corr, sides(i).groups, cfg))
 
@@ -116,16 +120,18 @@ object Zeroer {
     }
 
     // Final posteriors and predictions.
-    val gammaDf = eStep(cross, params(0), overrides(0)).persist(StorageLevel.MEMORY_AND_DISK)
+    val gammaDf = eStep(cross, rows(0), params(0), overrides(0)).persist(StorageLevel.MEMORY_AND_DISK)
     gammaDf.count() // materialize before the caller unpersists the inputs
+    val matches = gammaDf.where(col("gamma") > 0.5)
     val preds = cfg.transMode match {
       case TransMode.PostProcess =>
-        val kept = Transitivity.postProcess(collectRows(cross, params(0), _.gamma > 0.5))
         val spark = gammaDf.sparkSession
         import spark.implicits._
+        val kept = Transitivity.postProcess(
+          matches.as[(Long, Long, Long, Double, Double, Double)].collect().toSeq.map(GammaRow.tupled))
         kept.map(r => (r.leftId, r.rightId, r.gamma)).toDF("left_id", "right_id", "gamma")
       case _ =>
-        gammaDf.where(col("gamma") > 0.5).select("left_id", "right_id", "gamma")
+        matches.select("left_id", "right_id", "gamma")
     }
     FitResult(preds, gammaDf, params(0), iter, converged, (System.nanoTime() - t0) / 1000000L)
   }

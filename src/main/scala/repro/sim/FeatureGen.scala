@@ -6,6 +6,8 @@ import org.apache.spark.sql.{DataFrame, Encoders, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ArrayType, DoubleType}
 
+import repro.core.LinAlg.addCompensated
+
 /** A named similarity function on two attribute-value profiles, e.g.
   * `lev_sim`; its `(String, String)` form is the [[StringSims]] function of
   * the same measure.
@@ -89,9 +91,12 @@ object FeatureGen {
 
   /** Append `features: array<double>` to a pair DataFrame that carries
     * `l_<attr>` and `r_<attr>` string columns for every spec attribute.
-    * Each task profiles every distinct attribute value it meets once (a
-    * task-local memo of [[Profile]]s), then evaluates every function of
-    * every pair on the two profiles.
+    * The pairs are first coalesced (narrow, no shuffle) to at most one
+    * partition per core of the session, so every later scan of the result
+    * (scaling, correlation, each EM pass) is one wave of tasks. Each task
+    * profiles every distinct attribute value it meets once (a task-local
+    * memo of [[Profile]]s), then evaluates every function of every pair on
+    * the two profiles.
     */
   def addFeatures(pairs: DataFrame, specs: Seq[AttrSpec]): DataFrame = {
     val sims  = specs.map(_.sims.map(_.f).toArray).toArray
@@ -100,6 +105,7 @@ object FeatureGen {
     val attrs = specs.flatMap(s => Seq(col(s"l_${s.attr}"), col(s"r_${s.attr}"))).map(_.cast("string"))
     val out   = pairs.schema.add("features", ArrayType(DoubleType, containsNull = false))
     pairs.select(pairs.columns.toSeq.map(c => pairs.col(s"`$c`")) ++ attrs: _*)
+      .coalesce(pairs.sparkSession.sparkContext.defaultParallelism)
       .mapPartitions { rows =>
         val memo = mutable.HashMap.empty[String, Profile]
         def profile(r: Row, i: Int): Profile =
@@ -121,15 +127,6 @@ object FeatureGen {
           Row.fromSeq(r.toSeq.take(width) :+ feats)
         }
       }(Encoders.row(out))
-  }
-
-  /** Adds `v` to the compensated sum held at `a(k)` with its running
-    * error at `a(c)` (Neumaier's variant of Kahan summation).
-    */
-  private def addCompensated(a: Array[Double], k: Int, c: Int, v: Double): Unit = {
-    val t = a(k) + v
-    a(c) += (if (math.abs(a(k)) >= math.abs(v)) (a(k) - t) + v else (v - t) + a(k))
-    a(k) = t
   }
 
   /** Mean-impute NaNs then min-max scale each feature to [0,1] (paper §3.3:

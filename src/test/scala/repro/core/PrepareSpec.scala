@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
 
 import repro.SparkSpec
 import repro.blocking.Blocking
@@ -29,12 +29,8 @@ class PrepareSpec extends SparkSpec {
     "rel_sim"   -> StringSims.numericSim,
   )
 
-  /** Scaled features per (left_id, right_id), computed on the driver from
-    * the collected `withPairAttrs` rows: each function's string definition,
-    * NaN for a NULL side, then mean imputation (the mean summed exactly)
-    * and min-max scaling.
-    */
-  private def reference(ds: ErDataset, which: String): Map[(Long, Long), Array[Double]] = {
+  /** The `withPairAttrs` rows that `Zeroer.prepare` featurizes for `which` side. */
+  private def pairsWithAttrs(ds: ErDataset, which: String): DataFrame = {
     val (l, r, cand) = which match {
       case "cross" =>
         (ds.left, ds.right,
@@ -43,7 +39,16 @@ class PrepareSpec extends SparkSpec {
         val t = if (side == "left") ds.left else ds.right
         (t, t, Blocking.selfCandidatePairs(t, "id", ds.blockAttr, ds.blockOverlap, ds.blockMaxDf))
     }
-    val rows = Blocking.withPairAttrs(cand, l, r, "id", ds.attrs).collect()
+    Blocking.withPairAttrs(cand, l, r, "id", ds.attrs)
+  }
+
+  /** Scaled features per (left_id, right_id), computed on the driver from
+    * the collected `withPairAttrs` rows: each function's string definition,
+    * NaN for a NULL side, then mean imputation (the mean summed exactly)
+    * and min-max scaling.
+    */
+  private def reference(ds: ErDataset, which: String): Map[(Long, Long), Array[Double]] = {
+    val rows = pairsWithAttrs(ds, which).collect()
     val raw = rows.map { row =>
       val x = ds.specs.flatMap { s =>
         val a = row.getAs[String](s"l_${s.attr}"); val b = row.getAs[String](s"r_${s.attr}")
@@ -94,6 +99,21 @@ class PrepareSpec extends SparkSpec {
         assert(rows.forall { case Row(id: Long, l: Long, r: Long) => id == (l << 32 | r) })
       } finally res.gammaDf.unpersist()
     } finally sides.foreach(_.pairs.unpersist())
+  }
+
+  test("prepared sides hold one partition per core") {
+    val ds    = Datasets.fz(spark, scale = 0.3)
+    val cores = spark.sparkContext.defaultParallelism
+    for (which <- Seq("cross", "left", "right")) {
+      val p = if (which == "cross") Zeroer.prepareCross(ds) else Zeroer.prepareSelf(ds, which)
+      try {
+        // as `prepare` sees it: a cached plan keeps its shuffles' partition counts
+        val attrs = pairsWithAttrs(ds, which).persist()
+        val input = try attrs.rdd.getNumPartitions finally attrs.unpersist()
+        assert(p.pairs.rdd.getNumPartitions == math.min(cores, input),
+               s"$which: ${p.pairs.rdd.getNumPartitions} partitions from $input on $cores cores")
+      } finally p.pairs.unpersist()
+    }
   }
 
   test("Algorithm 2 on FZ is unchanged when every pass recomputes its sides") {

@@ -1,8 +1,11 @@
 package repro.core
 
+import scala.collection.mutable
+import scala.util.Random
+
+import org.apache.spark.scheduler._
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
-import scala.util.Random
 
 import repro.SparkSpec
 import repro.blocking.Blocking.pairKey
@@ -64,10 +67,14 @@ class ZeroerEMSpec extends SparkSpec {
                    repro.erdata.Datasets.ab(spark, scale = 0.3))) {
       val p = Zeroer.prepareCross(ds)
       try {
-        val want = sparkCorrelation(p.pairs, p.groups)
-        val diff = (for (i <- 0 until p.d; j <- 0 until p.d)
-                      yield math.abs(p.corr(i)(j) - want(i)(j))).max
-        assert(diff <= 1e-12, s"${ds.name}: max |r - Spark's r| = $diff")
+        // as prepared, and in one partition, where every sum runs over all pairs
+        for ((parts, got) <- Seq(p.pairs.rdd.getNumPartitions -> p.corr,
+                                 1 -> sharedCorrelation(p.pairs.coalesce(1), "features", p.groups))) {
+          val want = sparkCorrelation(p.pairs.coalesce(parts), p.groups)
+          val diff = (for (i <- 0 until p.d; j <- 0 until p.d)
+                        yield math.abs(got(i)(j) - want(i)(j))).max
+          assert(diff <= 1e-12, s"${ds.name} in $parts partitions: max |r - Spark's r| = $diff")
+        }
       } finally p.pairs.unpersist()
     }
   }
@@ -88,7 +95,7 @@ class ZeroerEMSpec extends SparkSpec {
 
   test("init moments split by the epsilon threshold") {
     val p = mkPrepared(60, 440, 4)
-    val m = moments(p, None, Map.empty, epsInit = 0.5)
+    val m = moments(p, pairRows(p), None, Map.empty, epsInit = 0.5)
     assert(math.abs(m.nM - 60.0) < 5.0, s"init nM=${m.nM}")
     assert(m.meanM.sum / 4 > 0.7)
     assert(m.meanU.sum / 4 < 0.35)
@@ -97,7 +104,7 @@ class ZeroerEMSpec extends SparkSpec {
   test("moments means/variances match a driver-side computation") {
     val p    = mkPrepared(30, 70, 3)
     val rows = p.pairs.collect().map(r => (pairKey(r.getLong(0), r.getLong(1)), r.getSeq[Double](2).toArray))
-    val th   = build(moments(p, None, Map.empty, 0.5), p.corr, p.groups, cfg)
+    val th   = build(moments(p, pairRows(p), None, Map.empty, 0.5), p.corr, p.groups, cfg)
     val ov   = Map(pairKey(1000, 2000) -> 0.0, pairKey(1005, 2005) -> 0.3, pairKey(1510, 2510) -> 0.9)
     assert(ov.keySet.subsetOf(rows.map(_._1).toSet))
     // (params, overrides, driver-side γ and loglik of one pair)
@@ -109,7 +116,7 @@ class ZeroerEMSpec extends SparkSpec {
       }),
     )
     for ((params, overrides, ref) <- cases) {
-      val m  = moments(p, params, overrides, epsInit = 0.5)
+      val m  = moments(p, pairRows(p), params, overrides, epsInit = 0.5)
       val gl = rows.map { case (id, x) => ref(id, x) }
       val g  = gl.map(_._1)
       val nM = g.sum
@@ -152,10 +159,10 @@ class ZeroerEMSpec extends SparkSpec {
 
   test("gamma overrides are honored by the next moment pass") {
     val p = mkPrepared(20, 180, 4)
-    val params = build(moments(p, None, Map.empty, 0.5), p.corr, p.groups, cfg)
+    val params = build(moments(p, pairRows(p), None, Map.empty, 0.5), p.corr, p.groups, cfg)
     // force pair (1000, 2000) (a match-like vector) to gamma 0
-    val m0 = moments(p, Some(params), Map.empty, 0.5)
-    val m1 = moments(p, Some(params), Map(pairKey(1000, 2000) -> 0.0), 0.5)
+    val m0 = moments(p, pairRows(p), Some(params), Map.empty, 0.5)
+    val m1 = moments(p, pairRows(p), Some(params), Map(pairKey(1000, 2000) -> 0.0), 0.5)
     assert(m1.nM < m0.nM, "override to 0 must reduce the match mass")
   }
 
@@ -167,8 +174,8 @@ class ZeroerEMSpec extends SparkSpec {
 
   test("eStep emits gamma, la, lb with gamma = sigmoid(la - lb)") {
     val p = mkPrepared(20, 80, 4)
-    val params = build(moments(p, None, Map.empty, 0.5), p.corr, p.groups, cfg)
-    eStep(p, params, Map.empty).collect().foreach { r =>
+    val params = build(moments(p, pairRows(p), None, Map.empty, 0.5), p.corr, p.groups, cfg)
+    eStep(p, pairRows(p), params, Map.empty).collect().foreach { r =>
       val g = r.getDouble(3); val la = r.getDouble(4); val lb = r.getDouble(5)
       assert(math.abs(g - 1.0 / (1.0 + math.exp(lb - la))) < 1e-9)
     }
@@ -193,5 +200,69 @@ class ZeroerEMSpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     val interior = res.gammaDf.where(col("gamma") > 0.05 && col("gamma") < 0.95).count()
     assert(interior > 10, "overlapping clusters must produce uncertain posteriors")
+  }
+
+  /** Every job started while `body` runs, as (tasks run, SQL execution id,
+    * call site), once the listener has seen them all.
+    */
+  private def jobsOf(body: => Unit): Seq[(Int, Option[String], String)] = {
+    val sc     = spark.sparkContext
+    val marker = "ZeroerEMSpec.marker"
+    val l = new SparkListener {
+      val jobs     = mutable.LinkedHashMap.empty[Int, (Option[String], String)]
+      val stageJob = mutable.Map.empty[Int, Int]
+      val tasks    = mutable.Map.empty[Int, Int].withDefaultValue(0)
+      @volatile var markerEnded = false
+      var markerJob = -1
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        def prop(k: String) = Option(e.properties).flatMap(p => Option(p.getProperty(k)))
+        if (prop("spark.job.description").contains(marker)) markerJob = e.jobId
+        else {
+          e.stageIds.foreach(st => stageJob.getOrElseUpdate(st, e.jobId))
+          jobs(e.jobId) = (prop("spark.sql.execution.id"), e.stageInfos.maxBy(_.stageId).details)
+        }
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (e.jobId == synchronized(markerJob)) markerEnded = true
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+        stageJob.get(e.stageId).foreach(j => tasks(j) += 1)
+      }
+    }
+    sc.addSparkListener(l)
+    try {
+      body
+      sc.setJobDescription(marker)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!l.markerEnded && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(l.markerEnded, "the listener bus did not drain within 30 s")
+    } finally sc.removeSparkListener(l)
+    l.synchronized(l.jobs.toSeq.map { case (j, (sql, site)) => (l.tasks(j), sql, site) })
+  }
+
+  test("every pass of an Algorithm 2 fit is one wave of tasks and starts no SQL execution") {
+    val ds    = repro.erdata.Datasets.fz(spark, scale = 0.3)
+    val sides = Seq(Zeroer.prepareCross(ds), Zeroer.prepareSelf(ds, "left"), Zeroer.prepareSelf(ds, "right"))
+    val cores = spark.sparkContext.defaultParallelism
+    try {
+      var res: Zeroer.FitResult = null
+      val jobs = jobsOf {
+        res = Zeroer.fit(sides(0), Some(sides(1)), Some(sides(2)), Config(maxIter = 2, tol = -1))
+      }
+      res.gammaDf.unpersist()
+      assert(res.iters == 2)
+      jobs.foreach { case (tasks, _, site) =>
+        assert(tasks <= cores, s"a job ran $tasks tasks on $cores cores: ${site.linesIterator.take(3).mkString(" | ")}")
+      }
+      val passes = jobs.filter { case (_, _, site) =>
+        site.contains("ZeroerEM$.moments(") || site.contains("ZeroerEM$.collectRows(")
+      }
+      // 3 init and 2 x 3 moment passes, and at least one Q' collection per iteration
+      assert(passes.count(_._3.contains("ZeroerEM$.moments(")) == 9)
+      assert(passes.count(_._3.contains("ZeroerEM$.collectRows(")) >= 2)
+      passes.foreach { case (_, sql, site) =>
+        assert(sql.isEmpty, s"SQL execution $sql for ${site.linesIterator.take(3).mkString(" | ")}")
+      }
+    } finally sides.foreach(_.pairs.unpersist())
   }
 }
