@@ -2,8 +2,9 @@ package repro.blocking
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoders, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{StructField, StructType}
 
 import repro.sim.Profile
 
@@ -45,45 +46,79 @@ object Blocking {
   private[repro] def records(df: DataFrame, idCol: String, text: Column): Dataset[(Long, String)] =
     df.select(col(idCol).cast("long"), coalesce(text, lit(""))).as(IdText)
 
-  /** Each table's `(rid, tok)` prefix keys: a record's `overlap` rarest
-    * tokens of df <= `maxDf`, ranked by the vocabulary of all the tables.
+  private val IdPair = Encoders.tuple(Encoders.scalaLong, Encoders.scalaLong)
+
+  /** A record's prefix: its `overlap` rarest tokens of df <= `maxDf`. */
+  private def prefix(vocab: Map[String, Term], text: String, overlap: Int, maxDf: Long): Array[String] =
+    new Profile(text).tokens.filter(vocab(_).df <= maxDf).sortBy(vocab(_).rank).take(overlap)
+
+  /** Distinct pairs `(left_id, right_id)` of a `probe` record and an
+    * `indexed` record that share a prefix token, ranked by the vocabulary
+    * of `tables`. The indexed table's prefixes are collected into an
+    * inverted index, token -> ids, and broadcast with the vocabulary; each
+    * probe record then looks up its own prefix tokens, in one narrow
+    * `flatMap` without a shuffle, and emits its distinct candidates in
+    * ascending id order (consecutive pairs then differ little, which the
+    * column cache of a prepared side compresses). Both broadcasts stay
+    * alive with the result, whose cache may be recomputed through them.
     */
-  private def prefixKeys(tables: Seq[DataFrame], idCol: String, attr: String,
-                         overlap: Int, maxDf: Long): Seq[DataFrame] = {
-    val vocab = tables.head.sparkSession.sparkContext.broadcast(vocabulary(tables, col(attr)))
-    tables.map(records(_, idCol, col(attr)).flatMap { case (rid, s) =>
-      val v = vocab.value
-      new Profile(s).tokens.filter(v(_).df <= maxDf).sortBy(v(_).rank).take(overlap).map(rid -> _)
-    }(IdText).toDF("rid", "tok"))
+  private def probeIndex(tables: Seq[DataFrame], probe: DataFrame, indexed: DataFrame, idCol: String,
+                         attr: String, overlap: Int, maxDf: Long): DataFrame = {
+    val sc    = probe.sparkSession.sparkContext
+    val vocab = sc.broadcast(vocabulary(tables, col(attr)))
+    val keys  = records(indexed, idCol, col(attr)).rdd.flatMap { case (rid, s) =>
+      prefix(vocab.value, s, overlap, maxDf).map(_ -> rid)
+    }.collect()
+    val index = sc.broadcast(keys.groupMap(_._1)(_._2))
+    records(probe, idCol, col(attr)).flatMap { case (rid, s) =>
+      val ix = index.value
+      prefix(vocab.value, s, overlap, maxDf).flatMap(ix.getOrElse(_, Array.emptyLongArray))
+        .distinct.sorted.map(rid -> _)
+    }(IdPair).toDF("left_id", "right_id")
   }
 
-  /** Cross-table candidate pairs `(left_id, right_id)`, distinct. */
+  /** Cross-table candidate pairs `(left_id, right_id)`, distinct: `left`
+    * probes the prefix index of `right`.
+    */
   def candidatePairs(left: DataFrame, right: DataFrame, idCol: String,
-                     attr: String, overlap: Int = 5, maxDf: Long = 80): DataFrame = {
-    val Seq(lk, rk) = prefixKeys(Seq(left, right), idCol, attr, overlap, maxDf)
-    lk.join(rk.withColumnRenamed("rid", "rid2"), "tok")
-      .select(col("rid").as("left_id"), col("rid2").as("right_id"))
-      .distinct()
-  }
+                     attr: String, overlap: Int = 5, maxDf: Long = 80): DataFrame =
+    probeIndex(Seq(left, right), left, right, idCol, attr, overlap, maxDf)
 
-  /** Within-table candidate pairs with `left_id < right_id`. */
+  /** Within-table candidate pairs with `left_id < right_id`, distinct: the
+    * table probes its own prefix index.
+    */
   def selfCandidatePairs(df: DataFrame, idCol: String, attr: String,
-                         overlap: Int = 5, maxDf: Long = 80): DataFrame = {
-    val Seq(k) = prefixKeys(Seq(df), idCol, attr, overlap, maxDf)
-    k.join(k.withColumnRenamed("rid", "rid2"), "tok")
-      .where(col("rid") < col("rid2"))
-      .select(col("rid").as("left_id"), col("rid2").as("right_id"))
-      .distinct()
-  }
+                         overlap: Int = 5, maxDf: Long = 80): DataFrame =
+    probeIndex(Seq(df), df, df, idCol, attr, overlap, maxDf).where(col("left_id") < col("right_id"))
 
-  /** Join the source attributes back onto a `(left_id, right_id)` pair
-    * DataFrame as `l_<attr>` / `r_<attr>` columns.
+  /** `pairs` with each side's source attributes as `l_<attr>` / `r_<attr>`
+    * columns after its own, as an inner join on `left_id` and `right_id`
+    * would give them: a pair whose id is missing from its table is dropped,
+    * and a NULL attribute stays NULL. Each table's `id -> attrs` is
+    * collected once (once for both sides when `left` and `right` are the
+    * same DataFrame) and broadcast, so the pairs are never shuffled. Ids
+    * must be unique within a table.
     */
   def withPairAttrs(pairs: DataFrame, left: DataFrame, right: DataFrame,
                     idCol: String, attrs: Seq[String]): DataFrame = {
-    val l = left.select(col(idCol).as("left_id") +: attrs.map(a => col(a).as(s"l_$a")): _*)
-    val r = right.select(col(idCol).as("right_id") +: attrs.map(a => col(a).as(s"r_$a")): _*)
-    pairs.join(l, "left_id").join(r, "right_id")
+    val sc = pairs.sparkSession.sparkContext
+    def table(t: DataFrame) = {
+      val rows = t.select(col(idCol).cast("long") +: attrs.map(col): _*).collect()
+      val byId = rows.iterator.map(r => r.getLong(0) -> r.toSeq.tail).toMap
+      require(byId.size == rows.length, s"withPairAttrs: ids in $idCol are not unique")
+      sc.broadcast(byId)
+    }
+    val l = table(left)
+    val r = if (right eq left) l else table(right)
+    def fields(side: String, t: DataFrame) = attrs.map(a => StructField(s"${side}_$a", t.schema(a).dataType))
+    val out = StructType(pairs.schema.fields ++ fields("l", left) ++ fields("r", right))
+    val (li, ri) = (pairs.schema.fieldIndex("left_id"), pairs.schema.fieldIndex("right_id"))
+    pairs.mapPartitions { rows =>
+      val (lt, rt) = (l.value, r.value)
+      rows.flatMap { row =>
+        for (la <- lt.get(row.getLong(li)); ra <- rt.get(row.getLong(ri))) yield Row.fromSeq(row.toSeq ++ la ++ ra)
+      }
+    }(Encoders.row(out))
   }
 
   /** Pair key `l << 32 | r`, the key of the EM's transitivity overrides.

@@ -48,7 +48,9 @@ object Zeroer {
 
   /** Features every candidate pair once: the raw features are persisted
     * for the one scaling-statistics job and the scaling pass that reads
-    * them, then released, so only the scaled side stays cached.
+    * them, then released, so only the scaled side stays cached. The scaled
+    * side is counted as an RDD: `Dataset.count` would add an exchange, and
+    * with it a shuffle, to an otherwise shuffle-free preparation.
     */
   private def prepare(name: String, pairsWithAttrs: DataFrame, ds: ErDataset): Prepared = {
     val groups = FeatureGen.groupIndex(ds.specs)
@@ -59,7 +61,7 @@ object Zeroer {
     val (pairs, n) =
       try {
         val p = FeatureGen.imputeAndScale(raw).persist(StorageLevel.MEMORY_AND_DISK)
-        (p, p.count())
+        (p, p.rdd.count())
       } finally raw.unpersist(blocking = true)
     val corr = sharedCorrelation(pairs, "features", groups)
     Prepared(name, pairs, d, groups, n, corr)

@@ -9,8 +9,7 @@ import org.apache.spark.sql.types.{ArrayType, DoubleType}
 import repro.core.LinAlg.addCompensated
 
 /** A named similarity function on two attribute-value profiles, e.g.
-  * `lev_sim`; its `(String, String)` form is the [[StringSims]] function of
-  * the same measure.
+  * `lev_sim` ([[ProfileSims.levSim]]).
   */
 final case class SimFn(name: String, f: (Profile, Profile) => Double)
 

@@ -9,10 +9,10 @@ import java.util.regex.Pattern
   * and evaluates every measure of every pair on profiles.
   */
 final class Profile(val raw: String, q: Int = 3) {
-  lazy val norm: String = StringSims.normalize(raw)
+  lazy val norm: String = Profile.normalize(raw)
 
   /** Word tokens (split on non-alphanumeric), distinct and sorted. */
-  lazy val tokens: Array[String] = StringSims.splitTokens(norm).distinct.sorted
+  lazy val tokens: Array[String] = Profile.splitTokens(norm).distinct.sorted
 
   /** Character q-grams of the padded string, distinct and sorted. Strings
     * shorter than q yield the padded grams so the measure stays defined.
@@ -29,17 +29,8 @@ final class Profile(val raw: String, q: Int = 3) {
   lazy val number: Option[Double] = raw.trim.toDoubleOption
 }
 
-/** Pure string-similarity functions used to build Magellan-style feature
-  * vectors (Figure 1(c) of the paper).
-  *
-  * Every function returns a similarity in [0, 1] (1 = identical) and is
-  * total: `null` inputs are handled by [[FeatureGen]] before these are
-  * called. All functions are deterministic and symmetric unless noted.
-  * Each measure is implemented once, on two [[Profile]]s, in
-  * [[ProfileSims]]; the `(String, String)` functions here profile both
-  * strings and call it.
-  */
-object StringSims {
+/** The string operations behind [[Profile]] and [[ProfileSims]]. */
+object Profile {
 
   private val Whitespace = Pattern.compile("\\s+")
   private val NonAlnum   = Pattern.compile("[^a-z0-9]+")
@@ -50,12 +41,6 @@ object StringSims {
 
   private[sim] def splitTokens(normalized: String): Array[String] =
     NonAlnum.split(normalized).filter(_.nonEmpty)
-
-  /** Word tokens (split on non-alphanumeric). */
-  def tokens(s: String): Set[String] = new Profile(s).tokens.toSet
-
-  /** Character q-grams of the padded string, as a set. */
-  def qgrams(s: String, q: Int = 3): Set[String] = new Profile(s, q).qgrams.toSet
 
   /** Levenshtein edit distance (iterative two-row DP). */
   def levenshtein(a: String, b: String): Int = {
@@ -78,60 +63,27 @@ object StringSims {
     }
     prev(b.length)
   }
-
-  private def on(f: (Profile, Profile) => Double)(a: String, b: String): Double =
-    f(new Profile(a), new Profile(b))
-
-  /** Levenshtein similarity: 1 - dist / max(len). Empty-vs-empty = 1. */
-  def levSim(a: String, b: String): Double = on(ProfileSims.levSim)(a, b)
-
-  /** Jaro similarity. */
-  def jaro(a: String, b: String): Double = on(ProfileSims.jaro)(a, b)
-
-  /** Jaro-Winkler similarity with standard scaling p=0.1, prefix cap 4. */
-  def jaroWinkler(a: String, b: String): Double = on(ProfileSims.jaroWinkler)(a, b)
-
-  private def onQgrams(f: (Array[String], Array[String]) => Double)(a: String, b: String,
-                                                                     q: Int): Double =
-    f(new Profile(a, q).qgrams, new Profile(b, q).qgrams)
-
-  def jaccardQgram(a: String, b: String, q: Int = 3): Double = onQgrams(ProfileSims.jaccard)(a, b, q)
-  def cosineQgram(a: String, b: String, q: Int = 3): Double  = onQgrams(ProfileSims.cosine)(a, b, q)
-  def diceQgram(a: String, b: String, q: Int = 3): Double    = onQgrams(ProfileSims.dice)(a, b, q)
-  def overlapQgram(a: String, b: String, q: Int = 3): Double = onQgrams(ProfileSims.overlap)(a, b, q)
-
-  def jaccardTokens(a: String, b: String): Double = on(ProfileSims.jaccardTokens)(a, b)
-  def cosineTokens(a: String, b: String): Double  = on(ProfileSims.cosineTokens)(a, b)
-  def diceTokens(a: String, b: String): Double    = on(ProfileSims.diceTokens)(a, b)
-  def overlapTokens(a: String, b: String): Double = on(ProfileSims.overlapTokens)(a, b)
-
-  /** Exact match after normalization. */
-  def exact(a: String, b: String): Double = on(ProfileSims.exact)(a, b)
-
-  /** Relative similarity of two numeric strings: 1 - |a-b| / max(|a|,|b|).
-    * Non-parsable values fall back to exact match on the raw strings.
-    */
-  def numericSim(a: String, b: String): Double = on(ProfileSims.numericSim)(a, b)
-
-  /** Similarity on digits only — robust to phone formatting divergence
-    * between the source tables (`213/467-1108` vs `213-467-1108`).
-    */
-  def digitsExact(a: String, b: String): Double = on(ProfileSims.digitsExact)(a, b)
 }
 
-/** The similarity measures on two [[Profile]]s: the one implementation of
-  * each measure, documented at its [[StringSims]] counterpart. Set measures
-  * merge the profiles' sorted distinct arrays.
+/** The similarity measures of Magellan-style feature vectors (Figure 1(c)
+  * of the paper), on two [[Profile]]s: the one implementation of each
+  * measure. Every measure returns a similarity in [0, 1] (1 = identical)
+  * and is deterministic and symmetric; NULL values are handled by
+  * [[FeatureGen]] before these are called. Set measures merge the
+  * profiles' sorted distinct arrays.
   */
 object ProfileSims {
 
+  /** Levenshtein similarity: 1 - dist / max(len). Empty-vs-empty = 1. */
   def levSim(a: Profile, b: Profile): Double = {
     val m = math.max(a.norm.length, b.norm.length)
-    if (m == 0) 1.0 else 1.0 - StringSims.levenshtein(a.norm, b.norm).toDouble / m
+    if (m == 0) 1.0 else 1.0 - Profile.levenshtein(a.norm, b.norm).toDouble / m
   }
 
+  /** Jaro similarity. */
   def jaro(a: Profile, b: Profile): Double = jaroOf(a.norm, b.norm)
 
+  /** Jaro-Winkler similarity with standard scaling p=0.1, prefix cap 4. */
   def jaroWinkler(a: Profile, b: Profile): Double = {
     val x = a.norm; val y = b.norm
     val j = jaroOf(x, y)
@@ -227,8 +179,12 @@ object ProfileSims {
   def diceTokens(a: Profile, b: Profile): Double    = dice(a.tokens, b.tokens)
   def overlapTokens(a: Profile, b: Profile): Double = overlap(a.tokens, b.tokens)
 
+  /** Exact match after normalization. */
   def exact(a: Profile, b: Profile): Double = if (a.norm == b.norm) 1.0 else 0.0
 
+  /** Relative similarity of two numeric strings: 1 - |a-b| / max(|a|,|b|).
+    * Non-parsable values fall back to exact match.
+    */
   def numericSim(a: Profile, b: Profile): Double = (a.number, b.number) match {
     case (Some(x), Some(y)) =>
       val m = math.max(math.abs(x), math.abs(y))
@@ -236,5 +192,8 @@ object ProfileSims {
     case _ => exact(a, b)
   }
 
+  /** Similarity on digits only — robust to phone formatting divergence
+    * between the source tables (`213/467-1108` vs `213-467-1108`).
+    */
   def digitsExact(a: Profile, b: Profile): Double = if (a.digits == b.digits) 1.0 else 0.0
 }

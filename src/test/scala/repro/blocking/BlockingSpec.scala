@@ -146,6 +146,26 @@ class BlockingSpec extends SparkSpec {
     assert(w.getAs[String]("r_name") == "zanzibar bistro")
   }
 
+  test("withPairAttrs joins like an inner join: missing ids drop, NULLs stay, extra columns kept") {
+    val l = tbl(1L -> "cafe", 3L -> null)
+    val r = tbl(10L -> "bistro", 12L -> "diner")
+    val pairs = spark.createDataFrame(Seq((1L, 10L, 0.5), (2L, 10L, 0.6), (1L, 11L, 0.7), (3L, 12L, 0.8)))
+      .toDF("left_id", "right_id", "w")
+    val got = Blocking.withPairAttrs(pairs, l, r, "id", Seq("name"))
+    assert(got.columns.toSeq == Seq("left_id", "right_id", "w", "l_name", "r_name"))
+    assert(got.collect().map(_.toSeq).toSet ==
+           Set(Seq(1L, 10L, 0.5, "cafe", "bistro"), Seq(3L, 12L, 0.8, null, "diner")))
+  }
+
+  test("withPairAttrs gives the same attributes when left and right are one DataFrame") {
+    val t     = tbl(1L -> "zulu cafe", 2L -> "zulu diner", 3L -> null)
+    val pairs = spark.createDataFrame(Seq((1L, 2L), (1L, 3L), (2L, 3L), (2L, 4L))).toDF("left_id", "right_id")
+    def rows(right: DataFrame) =
+      Blocking.withPairAttrs(pairs, t, right, "id", Seq("name")).collect().map(_.toSeq).toSet
+    val same = rows(t)
+    assert(same.size == 3 && same == rows(tbl(1L -> "zulu cafe", 2L -> "zulu diner", 3L -> null)))
+  }
+
   test("withPairId assigns unique ids") {
     val ds = Datasets.fz(spark, scale = 0.2)
     val c  = Blocking.withPairId(

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 
-import repro.SparkSpec
+import repro.{JobLog, SparkSpec}
 import repro.blocking.Blocking
 import repro.core.ZeroerEM.Prepared
 import repro.core.ZeroerModel.Config
@@ -131,6 +131,19 @@ class PrepareSpec extends SparkSpec {
     assert(gammas2.keySet == gammas.keySet)
     val diff = gammas.map { case (k, g) => math.abs(g - gammas2(k)) }.max
     assert(diff <= 1e-9, s"max |Δγ| = $diff")
+  }
+
+  test("preparing a side writes no shuffle and runs at most 7 jobs") {
+    val ds = Datasets.fz(spark, scale = 0.3)
+    for (which <- Seq("cross", "left", "right")) {
+      var p: Prepared = null
+      val jobs = JobLog.of(spark.sparkContext) {
+        p = if (which == "cross") Zeroer.prepareCross(ds) else Zeroer.prepareSelf(ds, which)
+      }
+      p.pairs.unpersist()
+      jobs.foreach(j => assert(j.shuffleBytes == 0, s"$which: a job wrote ${j.shuffleBytes} shuffle bytes: ${j.where}"))
+      assert(jobs.size <= 7, s"$which: ${jobs.size} jobs: ${jobs.map(_.where).mkString("; ")}")
+    }
   }
 
   test("preparation leaves only the prepared side cached") {

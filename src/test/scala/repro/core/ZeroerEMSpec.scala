@@ -1,13 +1,11 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.util.Random
 
-import org.apache.spark.scheduler._
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
 
-import repro.SparkSpec
+import repro.{JobLog, SparkSpec}
 import repro.blocking.Blocking.pairKey
 import ZeroerModel._
 import ZeroerEM._
@@ -202,67 +200,23 @@ class ZeroerEMSpec extends SparkSpec {
     assert(interior > 10, "overlapping clusters must produce uncertain posteriors")
   }
 
-  /** Every job started while `body` runs, as (tasks run, SQL execution id,
-    * call site), once the listener has seen them all.
-    */
-  private def jobsOf(body: => Unit): Seq[(Int, Option[String], String)] = {
-    val sc     = spark.sparkContext
-    val marker = "ZeroerEMSpec.marker"
-    val l = new SparkListener {
-      val jobs     = mutable.LinkedHashMap.empty[Int, (Option[String], String)]
-      val stageJob = mutable.Map.empty[Int, Int]
-      val tasks    = mutable.Map.empty[Int, Int].withDefaultValue(0)
-      @volatile var markerEnded = false
-      var markerJob = -1
-      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
-        def prop(k: String) = Option(e.properties).flatMap(p => Option(p.getProperty(k)))
-        if (prop("spark.job.description").contains(marker)) markerJob = e.jobId
-        else {
-          e.stageIds.foreach(st => stageJob.getOrElseUpdate(st, e.jobId))
-          jobs(e.jobId) = (prop("spark.sql.execution.id"), e.stageInfos.maxBy(_.stageId).details)
-        }
-      }
-      override def onJobEnd(e: SparkListenerJobEnd): Unit =
-        if (e.jobId == synchronized(markerJob)) markerEnded = true
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-        stageJob.get(e.stageId).foreach(j => tasks(j) += 1)
-      }
-    }
-    sc.addSparkListener(l)
-    try {
-      body
-      sc.setJobDescription(marker)
-      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
-      val deadline = System.nanoTime() + 30L * 1000000000L
-      while (!l.markerEnded && System.nanoTime() < deadline) Thread.sleep(5)
-      assert(l.markerEnded, "the listener bus did not drain within 30 s")
-    } finally sc.removeSparkListener(l)
-    l.synchronized(l.jobs.toSeq.map { case (j, (sql, site)) => (l.tasks(j), sql, site) })
-  }
-
   test("every pass of an Algorithm 2 fit is one wave of tasks and starts no SQL execution") {
     val ds    = repro.erdata.Datasets.fz(spark, scale = 0.3)
     val sides = Seq(Zeroer.prepareCross(ds), Zeroer.prepareSelf(ds, "left"), Zeroer.prepareSelf(ds, "right"))
     val cores = spark.sparkContext.defaultParallelism
     try {
       var res: Zeroer.FitResult = null
-      val jobs = jobsOf {
+      val jobs = JobLog.of(spark.sparkContext) {
         res = Zeroer.fit(sides(0), Some(sides(1)), Some(sides(2)), Config(maxIter = 2, tol = -1))
       }
       res.gammaDf.unpersist()
       assert(res.iters == 2)
-      jobs.foreach { case (tasks, _, site) =>
-        assert(tasks <= cores, s"a job ran $tasks tasks on $cores cores: ${site.linesIterator.take(3).mkString(" | ")}")
-      }
-      val passes = jobs.filter { case (_, _, site) =>
-        site.contains("ZeroerEM$.moments(") || site.contains("ZeroerEM$.collectRows(")
-      }
+      jobs.foreach(j => assert(j.tasks <= cores, s"a job ran ${j.tasks} tasks on $cores cores: ${j.where}"))
+      val passes = jobs.filter(j => j.site.contains("ZeroerEM$.moments(") || j.site.contains("ZeroerEM$.collectRows("))
       // 3 init and 2 x 3 moment passes, and at least one Q' collection per iteration
-      assert(passes.count(_._3.contains("ZeroerEM$.moments(")) == 9)
-      assert(passes.count(_._3.contains("ZeroerEM$.collectRows(")) >= 2)
-      passes.foreach { case (_, sql, site) =>
-        assert(sql.isEmpty, s"SQL execution $sql for ${site.linesIterator.take(3).mkString(" | ")}")
-      }
+      assert(passes.count(_.site.contains("ZeroerEM$.moments(")) == 9)
+      assert(passes.count(_.site.contains("ZeroerEM$.collectRows(")) >= 2)
+      passes.foreach(j => assert(j.sqlExecution.isEmpty, s"SQL execution ${j.sqlExecution} for ${j.where}"))
     } finally sides.foreach(_.pairs.unpersist())
   }
 }

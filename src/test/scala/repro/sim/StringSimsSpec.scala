@@ -3,6 +3,7 @@ package repro.sim
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 
+import Profile.{levenshtein, normalize}
 import StringSims._
 
 class StringSimsSpec extends AnyFunSuite with repro.GenChecks {
