@@ -2,16 +2,19 @@ package repro.core
 
 import scala.collection.mutable
 
+import repro.blocking.Blocking.pairKey
+
 import ZeroerEM.GammaRow
 
 /** Transitivity as posterior constraints (paper §4).
   *
   * The reduced constraint set Q′ (Eq. 19) only involves premise pairs with
   * γ ≥ 0.5 — orders of magnitude fewer than the candidate set — so the
-  * resolution runs on the driver over collected posteriors and returns
-  * per-side override maps (pair key → adjusted γ, the key being
-  * [[repro.blocking.Blocking.pairKey]] of the pair's ids) that the next
-  * E-step and moment pass apply in place of the model's γ.
+  * resolution runs on the driver over the collected premises and
+  * conclusions and returns per-side override maps (pair key → adjusted γ,
+  * the key being [[repro.blocking.Blocking.pairKey]] of the pair's ids) that
+  * the M-step's sums ([[ZeroerEM.SideSums.moments]]) and the final E-step
+  * apply in place of the model's γ.
   *
   * For a violated constraint γ₁·γ₂ ≤ γ_c the three axis projections of
   * Eq. 18 are: lower premise 1 to γ_c/γ₂, lower premise 2 to γ_c/γ₁, or
@@ -50,20 +53,53 @@ object Transitivity {
     */
   private val MaxFanout = 50
 
+  /** A pair's ids in (min, max) order: within-table pairs are unordered. */
+  private def key(a: Long, b: Long): (Long, Long) = if (a <= b) (a, b) else (b, a)
+
+  /** The trios of Q′ over the cross rows with γ ≥ 0.5 (the premises): two
+    * premises that share a tuple, and the within-table conclusion pair of
+    * their other tuples, as (premise, premise, conclusion side, its ids in
+    * (min, max) order). Premises go in pair order, and per shared tuple by
+    * descending γ, capped at [[MaxFanout]], so that tied γ and tied
+    * violations resolve the same way whatever the collection order.
+    */
+  private def trios(cross: Seq[GammaRow]): Seq[(GammaRow, GammaRow, Int, (Long, Long))] = {
+    val crossM = cross.filter(_.gamma >= 0.5).sortBy(r => (r.leftId, r.rightId))
+    def sharing(shared: GammaRow => Long, other: GammaRow => Long, side: Int) =
+      crossM.groupBy(shared).toSeq.flatMap { case (_, ms0) =>
+        val ms = ms0.sortBy(-_.gamma).take(MaxFanout)
+        for (i <- ms.indices; j <- (i + 1) until ms.length)
+          yield (ms(i), ms(j), side, key(other(ms(i)), other(ms(j))))
+      }
+    // (a) two cross matches share a LEFT tuple -> right-pair conclusion;
+    // (b) two cross matches share a RIGHT tuple -> left-pair conclusion
+    sharing(_.leftId, _.rightId, 2) ++ sharing(_.rightId, _.leftId, 1)
+  }
+
+  /** The pair keys ([[repro.blocking.Blocking.pairKey]] of the (min, max)
+    * ids) of Q′'s left and right conclusions over the premises `cross`: the
+    * only within-table pairs that [[resolve]] can constrain, so the only
+    * within-table rows it needs.
+    */
+  def conclusionKeys(cross: Seq[GammaRow]): (Set[Long], Set[Long]) = {
+    val t = trios(cross)
+    def keys(side: Int) = t.collect { case (_, _, `side`, (a, b)) => pairKey(a, b) }.toSet
+    (keys(1), keys(2))
+  }
+
   /** Resolve Q′ over the collected posteriors of the three sides.
     *
-    * @param cross      cross-table rows with γ ≥ 0.5 plus any rows needed
-    *                   as conclusions (both tuples touched by a match)
-    * @param withinLeft left-table rows among matched left tuples (any γ)
-    * @param withinRight right-table rows among matched right tuples
+    * @param cross       cross-table rows; those with γ ≥ 0.5 are the premises
+    * @param withinLeft  left-table rows among Q′'s conclusions
+    *                    ([[conclusionKeys]]); any other row is never read
+    * @param withinRight right-table rows among Q′'s conclusions
     */
   def resolve(cross: Seq[GammaRow], withinLeft: Seq[GammaRow],
               withinRight: Seq[GammaRow]): Overrides = {
     val vars = mutable.Map.empty[(Int, Long, Long), Var]
-    def key(a: Long, b: Long): (Long, Long) = if (a <= b) (a, b) else (b, a)
     def register(side: Int, r: GammaRow): Var = {
-      val k = (side, key(r.leftId, r.rightId)._1, key(r.leftId, r.rightId)._2)
-      vars.getOrElseUpdate(k, new Var(side, r.pairId, present = true, r.gamma, r.logA, r.logB))
+      val (a, b) = key(r.leftId, r.rightId)
+      vars.getOrElseUpdate((side, a, b), new Var(side, r.pairId, present = true, r.gamma, r.logA, r.logB))
     }
     cross.foreach(register(0, _))
     withinLeft.foreach(register(1, _))
@@ -74,26 +110,8 @@ object Transitivity {
         new Var(side, -1L, present = false, 0.0, 0.0, 0.0)) // blocked pair: γ = 0
     }
 
-    // Enumerate Q′ (premises γ >= 0.5), in pair order so that tied γ and
-    // tied violations resolve the same way whatever the collection order.
-    val crossM  = cross.filter(_.gamma >= 0.5).sortBy(r => (r.leftId, r.rightId))
-    val constraints = mutable.ArrayBuffer.empty[(Var, Var, Var)]
-
-    // (a) two cross matches share a LEFT tuple -> right-pair conclusion
-    crossM.groupBy(_.leftId).foreach { case (_, ms0) =>
-      val ms = ms0.sortBy(-_.gamma).take(MaxFanout)
-      for (i <- ms.indices; j <- (i + 1) until ms.length)
-        constraints += ((lookup(0, ms(i).leftId, ms(i).rightId),
-                         lookup(0, ms(j).leftId, ms(j).rightId),
-                         lookup(2, ms(i).rightId, ms(j).rightId)))
-    }
-    // (b) two cross matches share a RIGHT tuple -> left-pair conclusion
-    crossM.groupBy(_.rightId).foreach { case (_, ms0) =>
-      val ms = ms0.sortBy(-_.gamma).take(MaxFanout)
-      for (i <- ms.indices; j <- (i + 1) until ms.length)
-        constraints += ((lookup(0, ms(i).leftId, ms(i).rightId),
-                         lookup(0, ms(j).leftId, ms(j).rightId),
-                         lookup(1, ms(i).leftId, ms(j).leftId)))
+    val constraints = trios(cross).map { case (p1, p2, side, (a, b)) =>
+      (lookup(0, p1.leftId, p1.rightId), lookup(0, p2.leftId, p2.rightId), lookup(side, a, b))
     }
     // NOTE: trios whose premises mix a within-table match with a cross
     // match (conclusion = another cross pair) are deliberately NOT

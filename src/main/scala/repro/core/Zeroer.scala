@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 
 import repro.blocking.Blocking
+import repro.blocking.Blocking.pairKey
 import repro.erdata.ErDataset
 import repro.sim.FeatureGen
 
@@ -48,9 +49,10 @@ object Zeroer {
 
   /** Features every candidate pair once: the raw features are persisted
     * for the one scaling-statistics job and the scaling pass that reads
-    * them, then released, so only the scaled side stays cached. The scaled
-    * side is counted as an RDD: `Dataset.count` would add an exchange, and
-    * with it a shuffle, to an otherwise shuffle-free preparation.
+    * them. The correlation job scales them into the side's cache and counts
+    * the pairs (`Dataset.count` would add an exchange, and with it a
+    * shuffle, to an otherwise shuffle-free preparation); then they are
+    * released, so only the scaled side stays cached.
     */
   private def prepare(name: String, pairsWithAttrs: DataFrame, ds: ErDataset): Prepared = {
     val groups = FeatureGen.groupIndex(ds.specs)
@@ -58,14 +60,49 @@ object Zeroer {
     val raw = FeatureGen.addFeatures(pairsWithAttrs, ds.specs)
       .select(col("left_id"), col("right_id"), col("features"))
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val (pairs, n) =
+    val (pairs, (corr, n)) =
       try {
         val p = FeatureGen.imputeAndScale(raw).persist(StorageLevel.MEMORY_AND_DISK)
-        (p, p.rdd.count())
+        (p, correlationAndCount(p, "features", groups))
       } finally raw.unpersist(blocking = true)
-    val corr = sharedCorrelation(pairs, "features", groups)
     Prepared(name, pairs, d, groups, n, corr)
   }
+
+  /** One EM iteration's E-step at `params`: each side's moment sums, and the
+    * overrides that transitivity resolution (Algorithm 2 lines 5-7) sets.
+    * With one side it is one moment pass. With the three sides (index 0
+    * cross, 1 left, 2 right, as in [[Transitivity]]) it is two: the cross
+    * pass keeps Q′'s premises (γ ≥ 0.5), the driver derives their
+    * conclusions ([[Transitivity.conclusionKeys]]), and one pass over both
+    * within-table sides keeps the conclusions' rows. A conclusion absent
+    * from its side is a blocked pair, which [[Transitivity.resolve]] treats
+    * as such. Every override is of a kept row, so [[SideSums.moments]] can
+    * apply it.
+    */
+  private[core] def iterate(sides: Seq[Prepared], rows: Seq[PairRows], params: Seq[SideParams],
+                            epsInit: Double): (Seq[SideSums], Seq[Map[Long, Double]]) =
+    if (sides.size < 3)
+      (moments(sides, rows, Some(params), sides.map(_ => (_: GammaRow) => false), epsInit),
+       sides.map(_ => Map.empty))
+    else {
+      val cross    = moments(sides.take(1), rows.take(1), Some(params.take(1)), Seq(_.gamma >= 0.5), epsInit).head
+      val premises = cross.kept.map(_._1)
+      // A degenerate intermediate model can flood Q' with the whole
+      // candidate set; constraints would be meaningless and quadratic.
+      val guarded  = premises.size > math.max(1000, 20 * math.sqrt(sides(0).n.toDouble).toLong)
+      val (lk, rk) = if (guarded) (Set.empty[Long], Set.empty[Long]) else Transitivity.conclusionKeys(premises)
+      def conclusion(keys: Set[Long]): GammaRow => Boolean =
+        q => keys(pairKey(math.min(q.leftId, q.rightId), math.max(q.leftId, q.rightId)))
+      val within = moments(sides.drop(1), rows.drop(1), Some(params.drop(1)),
+                           Seq(conclusion(lk), conclusion(rk)), epsInit)
+      val overrides =
+        if (guarded) sides.map(_ => Map.empty[Long, Double])
+        else {
+          val o = Transitivity.resolve(premises, within(0).kept.map(_._1), within(1).kept.map(_._1))
+          Seq(o.cross, o.left, o.right)
+        }
+      (cross +: within, overrides)
+    }
 
   /** Fit the generative model. With `TransMode.Constraint` and both
     * within-table sides, Algorithm 2 fits all three sides and resolves
@@ -81,49 +118,35 @@ object Zeroer {
     val sides: Seq[Prepared] =
       if (cfg.transMode == TransMode.Constraint) cross +: (leftSide.toSeq ++ rightSide.toSeq)
       else Seq(cross)
-    val constrained = sides.size == 3
     // Every pass of this fit maps these, each planned once.
     val rows = sides.map(pairRows)
+    def built(moms: Seq[Moments]): Seq[SideParams] =
+      sides.indices.map(i => build(moms(i), sides(i).corr, sides(i).groups, cfg))
 
     // Initialization M-step from the thresholded γ (Algorithm 1 lines 4, 8-12).
-    var params = sides.zip(rows).map { case (s, r) =>
-      build(moments(s, r, None, Map.empty, cfg.epsInit), s.corr, s.groups, cfg)
-    }
+    var params    = built(moments(sides, rows, None, Nil, cfg.epsInit).map(_.moments(Map.empty)))
     var overrides: Seq[Map[Long, Double]] = sides.map(_ => Map.empty)
     var prevLL    = Double.NegativeInfinity
     var iter      = 0
     var converged = false
 
     while (iter < cfg.maxIter && !converged) {
-      // E-step + transitivity resolution (Algorithm 2 lines 5-7).
-      if (constrained) {
-        val crossM = collectRows(rows(0), params(0), _.gamma >= 0.5)
-        // A degenerate intermediate model can flood Q' with the whole
-        // candidate set; constraints would be meaningless and quadratic.
-        overrides =
-          if (crossM.size <= math.max(1000, 20 * math.sqrt(cross.n.toDouble).toLong)) {
-            def within(i: Int, ids: Set[Long]): Seq[GammaRow] =
-              if (ids.isEmpty) Nil
-              else collectRows(rows(i), params(i), r => ids(r.leftId) && ids(r.rightId))
-            val o = Transitivity.resolve(crossM, within(1, crossM.map(_.leftId).toSet),
-                                         within(2, crossM.map(_.rightId).toSet))
-            Seq(o.cross, o.left, o.right)
-          } else sides.map(_ => Map.empty)
-      }
-
-      // M-step over the (possibly constraint-adjusted) posteriors
-      val moms = sides.indices.map(i => moments(sides(i), rows(i), Some(params(i)), overrides(i), cfg.epsInit))
+      // E-step and transitivity, then the M-step over the adjusted posteriors
+      val (sums, o) = iterate(sides, rows, params, cfg.epsInit)
+      val moms = sides.indices.map(i => sums(i).moments(o(i)))
       val ll   = moms.map(_.loglik).sum
-      params   = sides.indices.map(i => build(moms(i), sides(i).corr, sides(i).groups, cfg))
+      overrides = o
+      params    = built(moms)
 
       converged = math.abs(ll - prevLL) <= cfg.tol * (1.0 + math.abs(ll))
       prevLL = ll
       iter += 1
     }
 
-    // Final posteriors and predictions.
+    // Final posteriors and predictions, materialized before the caller
+    // unpersists the inputs: as an RDD, since `Dataset.count` adds an exchange.
     val gammaDf = eStep(cross, rows(0), params(0), overrides(0)).persist(StorageLevel.MEMORY_AND_DISK)
-    gammaDf.count() // materialize before the caller unpersists the inputs
+    gammaDf.rdd.count()
     val matches = gammaDf.where(col("gamma") > 0.5)
     val preds = cfg.transMode match {
       case TransMode.PostProcess =>

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
+
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
@@ -55,7 +57,14 @@ object ZeroerEM {
     * zero, Spark's cut-off) has no defined correlation: its row and column
     * are 0 off the diagonal.
     */
-  def sharedCorrelation(features: DataFrame, featCol: String, groups: Array[Int]): Array[Array[Double]] = {
+  def sharedCorrelation(features: DataFrame, featCol: String, groups: Array[Int]): Array[Array[Double]] =
+    correlationAndCount(features, featCol, groups)._1
+
+  /** [[sharedCorrelation]] and the number of rows it read, which its job
+    * counts anyway.
+    */
+  private[core] def correlationAndCount(features: DataFrame, featCol: String,
+                                        groups: Array[Int]): (Array[Array[Double]], Long) = {
     val d = groups.length
     val (pi, pj) =
       (for (i <- 0 until d; j <- i + 1 until d if groups(i) == groups(j)) yield (i, j)).toArray.unzip
@@ -99,61 +108,101 @@ object ZeroerEM {
         r(j)(i) = r(i)(j)
       }
     }
-    r
+    (r, n.toLong)
   }
 
-  /** Pair (l, r)'s posterior row; γ is its transitivity override where one is set. */
-  private def posterior(params: SideParams, overrides: Map[Long, Double],
-                        l: Long, r: Long, x: Array[Double]): GammaRow = {
+  /** Pair (l, r)'s posterior row at `params`. */
+  private def posterior(params: SideParams, l: Long, r: Long, x: Array[Double]): GammaRow = {
     val (la, lb) = params.logJoint(x)
-    val key      = pairKey(l, r)
-    GammaRow(key, l, r, overrides.getOrElse(key, LinAlg.posterior(la, lb)), la, lb)
+    GammaRow(pairKey(l, r), l, r, LinAlg.posterior(la, lb), la, lb)
   }
 
-  /** Weighted moment pass (M-step statistics, Eq. 5 restricted to the 4d+1
-    * free parameters). `params = None` means the initialization pass
-    * (Algorithm 1 line 4: γ = 1 iff mean scaled similarity > ε).
-    *
-    * One job without a shuffle over `p`'s `rows` ([[pairRows]]): each
-    * partition evaluates the model once per pair and sums γ, the
-    * log-likelihood, γx, γx², x and x²; the partition sums are added in
-    * partition order.
+  /** One side's share of a moment pass ([[moments]]): the side's `n`, its
+    * sums at its params with no override (Σγ, Σll, then Σγx, Σγx², Σx and
+    * Σx², d each), and the posterior rows its predicate kept, with their
+    * features.
     */
-  def moments(p: Prepared, rows: PairRows, params: Option[SideParams],
-              overrides: Map[Long, Double], epsInit: Double): Moments = {
-    val d = p.d
-    // sums layout: Σγ, Σll, then Σγx, Σγx², Σx, Σx² (d each) from these offsets
-    val (gx, gxx, sx, sxx) = (2, 2 + d, 2 + 2 * d, 2 + 3 * d)
-    val parts = rows.mapPartitions { part =>
-      val s = new Array[Double](2 + 4 * d)
-      part.foreach { case (l, r, x) =>
-        require(x.length == d, s"pair ($l, $r) has ${x.length} features, expected $d")
-        val (g, ll) = params match {
-          case Some(th) =>
-            val q = posterior(th, overrides, l, r, x)
-            (q.gamma, LinAlg.logSumExp(q.logA, q.logB))
-          case None => (if (x.sum / d > epsInit) 1.0 else 0.0, 0.0)
-        }
-        s(0) += g; s(1) += ll
-        var j = 0
-        while (j < d) {
-          s(gx + j) += g * x(j); s(gxx + j) += g * x(j) * x(j)
-          s(sx + j) += x(j);     s(sxx + j) += x(j) * x(j)
-          j += 1
-        }
-      }
-      Iterator(s)
-    }.collect()
-    val s = Array.tabulate(2 + 4 * d)(k => parts.foldLeft(0.0)(_ + _(k)))
+  final case class SideSums(n: Long, sums: Array[Double], kept: Seq[(GammaRow, Array[Double])]) {
 
-    val nM    = math.max(s(0), 1e-9)
-    val nU    = math.max(p.n - nM, 1e-9)
-    val meanM = Array.tabulate(d)(j => s(gx + j) / nM)
-    val meanU = Array.tabulate(d)(j => (s(sx + j) - s(gx + j)) / nU)
-    val varM  = Array.tabulate(d)(j => math.max(s(gxx + j) / nM - meanM(j) * meanM(j), 0.0))
-    val varU  = Array.tabulate(d)(j =>
-      math.max((s(sxx + j) - s(gxx + j)) / nU - meanU(j) * meanU(j), 0.0))
-    Moments(p.n, nM, meanM, meanU, varM, varU, s(1))
+    /** M-step statistics (Eq. 5 restricted to the 4d+1 free parameters),
+      * with γ′ in place of γ for every pair in `overrides` (pair key → γ′).
+      * The sums gain Σ(γ′ − γ)·(1, x, x²) over the overridden pairs, whose
+      * x the kept rows hold; the log-likelihood does not depend on γ.
+      */
+    def moments(overrides: Map[Long, Double]): Moments = {
+      val d = (sums.length - 2) / 4
+      val (gx, gxx, sx, sxx) = (2, 2 + d, 2 + 2 * d, 2 + 3 * d)
+      val s = sums.clone()
+      var applied = 0
+      for ((q, x) <- kept; g <- overrides.get(q.pairId)) {
+        val dg = g - q.gamma
+        s(0) += dg
+        var j = 0
+        while (j < d) { s(gx + j) += dg * x(j); s(gxx + j) += dg * x(j) * x(j); j += 1 }
+        applied += 1
+      }
+      require(applied == overrides.size, s"${overrides.size - applied} overridden pairs are not among the kept rows")
+
+      val nM    = math.max(s(0), 1e-9)
+      val nU    = math.max(n - nM, 1e-9)
+      val meanM = Array.tabulate(d)(j => s(gx + j) / nM)
+      val meanU = Array.tabulate(d)(j => (s(sx + j) - s(gx + j)) / nU)
+      val varM  = Array.tabulate(d)(j => math.max(s(gxx + j) / nM - meanM(j) * meanM(j), 0.0))
+      val varU  = Array.tabulate(d)(j =>
+        math.max((s(sxx + j) - s(gxx + j)) / nU - meanU(j) * meanU(j), 0.0))
+      Moments(n, nM, meanM, meanU, varM, varU, s(1))
+    }
+  }
+
+  /** Weighted moment pass (M-step statistics) over one or more sides, each
+    * at its own params: `params = None` means the initialization pass
+    * (Algorithm 1 line 4: γ = 1 iff mean scaled similarity > ε). With
+    * params, `keep(i)` selects the posterior rows of side i to return; at
+    * initialization nothing is kept and `keep` is not read.
+    *
+    * One job without a shuffle over the sides' `rows` ([[pairRows]]): each
+    * partition evaluates the model once per pair and sums γ, the
+    * log-likelihood, γx, γx², x and x². The sides' partitions are coalesced
+    * to one per core, so the job is one wave; the driver adds each side's
+    * partition sums in partition order.
+    */
+  def moments(sides: Seq[Prepared], rows: Seq[PairRows], params: Option[Seq[SideParams]],
+              keep: Seq[GammaRow => Boolean], epsInit: Double): Seq[SideSums] = {
+    val perSide = sides.indices.map { i =>
+      val d  = sides(i).d
+      val th = params.map(ps => (ps(i), keep(i)))
+      // sums layout: Σγ, Σll, then Σγx, Σγx², Σx, Σx² (d each) from these offsets
+      val (gx, gxx, sx, sxx) = (2, 2 + d, 2 + 2 * d, 2 + 3 * d)
+      rows(i).mapPartitionsWithIndex { (part, it) =>
+        val s    = new Array[Double](2 + 4 * d)
+        val kept = ArrayBuffer.empty[(GammaRow, Array[Double])]
+        it.foreach { case (l, r, x) =>
+          require(x.length == d, s"pair ($l, $r) has ${x.length} features, expected $d")
+          val (g, ll) = th match {
+            case Some((t, k)) =>
+              val q = posterior(t, l, r, x)
+              if (k(q)) kept += ((q, x))
+              (q.gamma, LinAlg.logSumExp(q.logA, q.logB))
+            case None => (if (x.sum / d > epsInit) 1.0 else 0.0, 0.0)
+          }
+          s(0) += g; s(1) += ll
+          var j = 0
+          while (j < d) {
+            s(gx + j) += g * x(j); s(gxx + j) += g * x(j) * x(j)
+            s(sx + j) += x(j);     s(sxx + j) += x(j) * x(j)
+            j += 1
+          }
+        }
+        Iterator((i, part, s, kept.toArray))
+      }
+    }
+    val sc    = rows.head.sparkContext
+    val parts = sc.union(perSide).coalesce(sc.defaultParallelism).collect().sortBy(p => (p._1, p._2))
+    sides.indices.map { i =>
+      val mine = parts.filter(_._1 == i)
+      SideSums(sides(i).n, Array.tabulate(2 + 4 * sides(i).d)(k => mine.foldLeft(0.0)(_ + _._3(k))),
+               mine.toSeq.flatMap(_._4))
+    }
   }
 
   /** `(left_id, right_id, features)` of every pair of `p`, as an RDD over
@@ -168,23 +217,16 @@ object ZeroerEM {
     p.pairs.select(col("left_id"), col("right_id"), col("features")).as[(Long, Long, Array[Double])].rdd
   }
 
-  /** The E-step over `rows`: one posterior row per pair. */
-  private def posteriors(rows: PairRows, params: SideParams,
-                         overrides: Map[Long, Double]): RDD[GammaRow] =
-    rows.map { case (l, r, x) => posterior(params, overrides, l, r, x) }
-
   /** E-step posterior DataFrame of `p`, from its `rows`: pair_id, left_id,
-    * right_id, gamma, la, lb.
+    * right_id, gamma, la, lb; γ is the pair's transitivity override where
+    * one is set.
     */
   def eStep(p: Prepared, rows: PairRows, params: SideParams, overrides: Map[Long, Double]): DataFrame = {
     val spark = p.pairs.sparkSession
     import spark.implicits._
-    posteriors(rows, params, overrides).toDF("pair_id", "left_id", "right_id", "gamma", "la", "lb")
+    rows.map { case (l, r, x) =>
+      val q = posterior(params, l, r, x)
+      overrides.get(q.pairId).fold(q)(g => q.copy(gamma = g))
+    }.toDF("pair_id", "left_id", "right_id", "gamma", "la", "lb")
   }
-
-  /** The E-step rows (no overrides) that `keep` accepts, collected for
-    * transitivity resolution.
-    */
-  def collectRows(rows: PairRows, params: SideParams, keep: GammaRow => Boolean): Seq[GammaRow] =
-    posteriors(rows, params, Map.empty).filter(keep).collect().toSeq
 }

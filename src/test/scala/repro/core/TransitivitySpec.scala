@@ -2,6 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import scala.util.Random
+
+import repro.blocking.Blocking.pairKey
 import Transitivity._
 import ZeroerEM.GammaRow
 
@@ -114,5 +117,31 @@ class TransitivitySpec extends AnyFunSuite {
     (ov.cross.values ++ ov.left.values ++ ov.right.values).foreach { g =>
       assert(g >= 0.0 && g <= 1.0)
     }
+  }
+
+  test("conclusionKeys are exactly the within-table conclusions that resolve constrains") {
+    def cross(l: Long, r: Long, g: Double) = row(pairKey(l, r), l, r, g, la = 5.0, lb = -5.0)
+    // Left hub 10 with 60 premises: rights 130..159 at γ 0.95, then 100..129
+    // tied at 0.9, of which the cap keeps the first 20 in pair order. The
+    // higher-γ premise has the larger id, so conclusions arrive as (max, min).
+    val hub = (130L to 159L).map(cross(10, _, 0.95)) ++ (100L to 129L).map(cross(10, _, 0.9))
+    // Right tuple 500 shared by lefts 20..24, the larger ids at higher or tied γ.
+    val shared = Seq(20L -> 0.7, 21L -> 0.8, 22L -> 0.9, 23L -> 0.8, 24L -> 0.8).map { case (l, g) => cross(l, 500, g) }
+    val premises = hub ++ shared :+ cross(10, 160, 0.4) // γ < 0.5: not a premise
+    def pairsOf(ids: Seq[Long]) =
+      (for (a <- ids; b <- ids if a < b) yield pairKey(a, b)).toSet
+    val wantRight = pairsOf((100L to 119L) ++ (130L to 159L))
+    val wantLeft  = pairsOf(20L to 24L)
+
+    val (left, right) = conclusionKeys(premises)
+    assert(left == wantLeft && right == wantRight)
+    assert(conclusionKeys(new Random(5).shuffle(premises)) == (left, right), "depends on the premises' order")
+
+    // Every pair among the touched tuples is present at γ 0 with evidence for
+    // a match, so resolve raises each conclusion it constrains, and only those.
+    def within(ids: Seq[Long]) =
+      for (a <- ids; b <- ids if a < b) yield row(pairKey(a, b), a, b, 0.0, la = 10.0, lb = -10.0)
+    val ov = resolve(premises, within(20L to 24L), within((100L to 160L) :+ 500L))
+    assert(ov.left.keySet == left && ov.right.keySet == right)
   }
 }

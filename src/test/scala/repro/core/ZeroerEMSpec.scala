@@ -91,9 +91,14 @@ class ZeroerEMSpec extends SparkSpec {
     assert(math.abs(r(0)(2)) > 0.0, "the other features of the group keep their correlation")
   }
 
+  /** `p`'s share of a one-side moment pass at `params`, keeping the rows `keep` accepts. */
+  private def sums(p: Prepared, params: Option[SideParams],
+                   keep: GammaRow => Boolean = _ => false): SideSums =
+    moments(Seq(p), Seq(pairRows(p)), params.map(Seq(_)), Seq(keep), epsInit = 0.5).head
+
   test("init moments split by the epsilon threshold") {
     val p = mkPrepared(60, 440, 4)
-    val m = moments(p, pairRows(p), None, Map.empty, epsInit = 0.5)
+    val m = sums(p, None).moments(Map.empty)
     assert(math.abs(m.nM - 60.0) < 5.0, s"init nM=${m.nM}")
     assert(m.meanM.sum / 4 > 0.7)
     assert(m.meanU.sum / 4 < 0.35)
@@ -102,7 +107,7 @@ class ZeroerEMSpec extends SparkSpec {
   test("moments means/variances match a driver-side computation") {
     val p    = mkPrepared(30, 70, 3)
     val rows = p.pairs.collect().map(r => (pairKey(r.getLong(0), r.getLong(1)), r.getSeq[Double](2).toArray))
-    val th   = build(moments(p, pairRows(p), None, Map.empty, 0.5), p.corr, p.groups, cfg)
+    val th   = build(sums(p, None).moments(Map.empty), p.corr, p.groups, cfg)
     val ov   = Map(pairKey(1000, 2000) -> 0.0, pairKey(1005, 2005) -> 0.3, pairKey(1510, 2510) -> 0.9)
     assert(ov.keySet.subsetOf(rows.map(_._1).toSet))
     // (params, overrides, driver-side γ and loglik of one pair)
@@ -114,7 +119,8 @@ class ZeroerEMSpec extends SparkSpec {
       }),
     )
     for ((params, overrides, ref) <- cases) {
-      val m  = moments(p, pairRows(p), params, overrides, epsInit = 0.5)
+      // the overrides go through the driver-side correction of the kept rows
+      val m  = sums(p, params, q => overrides.contains(q.pairId)).moments(overrides)
       val gl = rows.map { case (id, x) => ref(id, x) }
       val g  = gl.map(_._1)
       val nM = g.sum
@@ -157,11 +163,15 @@ class ZeroerEMSpec extends SparkSpec {
 
   test("gamma overrides are honored by the next moment pass") {
     val p = mkPrepared(20, 180, 4)
-    val params = build(moments(p, pairRows(p), None, Map.empty, 0.5), p.corr, p.groups, cfg)
+    val params = build(sums(p, None).moments(Map.empty), p.corr, p.groups, cfg)
     // force pair (1000, 2000) (a match-like vector) to gamma 0
-    val m0 = moments(p, pairRows(p), Some(params), Map.empty, 0.5)
-    val m1 = moments(p, pairRows(p), Some(params), Map(pairKey(1000, 2000) -> 0.0), 0.5)
+    val ov = Map(pairKey(1000, 2000) -> 0.0)
+    val s0 = sums(p, Some(params))
+    val m0 = s0.moments(Map.empty)
+    val m1 = sums(p, Some(params), q => ov.contains(q.pairId)).moments(ov)
     assert(m1.nM < m0.nM, "override to 0 must reduce the match mass")
+    // an override needs its pair's features: a pass that did not keep the pair cannot apply it
+    intercept[IllegalArgumentException](s0.moments(ov))
   }
 
   test("fit takes both within-table sides or neither") {
@@ -172,7 +182,7 @@ class ZeroerEMSpec extends SparkSpec {
 
   test("eStep emits gamma, la, lb with gamma = sigmoid(la - lb)") {
     val p = mkPrepared(20, 80, 4)
-    val params = build(moments(p, pairRows(p), None, Map.empty, 0.5), p.corr, p.groups, cfg)
+    val params = build(sums(p, None).moments(Map.empty), p.corr, p.groups, cfg)
     eStep(p, pairRows(p), params, Map.empty).collect().foreach { r =>
       val g = r.getDouble(3); val la = r.getDouble(4); val lb = r.getDouble(5)
       assert(math.abs(g - 1.0 / (1.0 + math.exp(lb - la))) < 1e-9)
@@ -211,12 +221,15 @@ class ZeroerEMSpec extends SparkSpec {
       }
       res.gammaDf.unpersist()
       assert(res.iters == 2)
-      jobs.foreach(j => assert(j.tasks <= cores, s"a job ran ${j.tasks} tasks on $cores cores: ${j.where}"))
-      val passes = jobs.filter(j => j.site.contains("ZeroerEM$.moments(") || j.site.contains("ZeroerEM$.collectRows("))
-      // 3 init and 2 x 3 moment passes, and at least one Q' collection per iteration
-      assert(passes.count(_.site.contains("ZeroerEM$.moments(")) == 9)
-      assert(passes.count(_.site.contains("ZeroerEM$.collectRows(")) >= 2)
-      passes.foreach(j => assert(j.sqlExecution.isEmpty, s"SQL execution ${j.sqlExecution} for ${j.where}"))
+      // one init pass over all sides, then a cross pass and a within-table pass per iteration
+      assert(jobs.count(_.site.contains("ZeroerEM$.moments(")) == 1 + 2 * 2)
+      assert(!jobs.exists(_.site.contains("ZeroerEM$.collectRows(")))
+      assert(jobs.size <= 6, s"${jobs.size} jobs: ${jobs.map(_.where).mkString("; ")}")
+      jobs.foreach { j =>
+        assert(j.tasks <= cores, s"a job ran ${j.tasks} tasks on $cores cores: ${j.where}")
+        assert(j.sqlExecution.isEmpty, s"SQL execution ${j.sqlExecution} for ${j.where}")
+        assert(j.shuffleBytes == 0, s"a job wrote ${j.shuffleBytes} shuffle bytes: ${j.where}")
+      }
     } finally sides.foreach(_.pairs.unpersist())
   }
 }
