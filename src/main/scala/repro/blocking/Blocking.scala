@@ -33,12 +33,23 @@ object Blocking {
     */
   def vocabulary(tables: Seq[DataFrame], text: Column): Map[String, Term] = {
     val texts = tables.map(_.select(coalesce(text, lit(""))).as(Encoders.STRING)).reduce(_ union _)
-    val df = texts.rdd.aggregate(mutable.HashMap.empty[String, Long])(
-      (m, s) => { new Profile(s).tokens.foreach(t => m(t) = m.getOrElse(t, 0L) + 1); m },
-      (a, b) => { b.foreach { case (t, n) => a(t) = a.getOrElse(t, 0L) + n }; a })
+    ranked(texts.rdd.aggregate(mutable.HashMap.empty[String, Long])(
+      countTokens, (a, b) => { b.foreach { case (t, n) => a(t) = a.getOrElse(t, 0L) + n }; a }))
+  }
+
+  /** [[vocabulary]] of texts already on the driver, by the same rule. */
+  def vocabulary(texts: Iterator[String]): Map[String, Term] =
+    ranked(texts.foldLeft(mutable.HashMap.empty[String, Long])(countTokens))
+
+  /** `df` with each distinct token of `text` counted once more. */
+  private def countTokens(df: mutable.HashMap[String, Long], text: String): mutable.HashMap[String, Long] = {
+    new Profile(text).tokens.foreach(t => df(t) = df.getOrElse(t, 0L) + 1)
+    df
+  }
+
+  private def ranked(df: mutable.HashMap[String, Long]): Map[String, Term] =
     df.toArray.sortBy { case (t, n) => (n, t) }.iterator.zipWithIndex
       .map { case ((t, n), i) => t -> Term(n, i + 1) }.toMap
-  }
 
   private val IdText = Encoders.tuple(Encoders.scalaLong, Encoders.STRING)
 
@@ -48,32 +59,47 @@ object Blocking {
 
   private val IdPair = Encoders.tuple(Encoders.scalaLong, Encoders.scalaLong)
 
-  /** A record's prefix: its `overlap` rarest tokens of df <= `maxDf`. */
-  private def prefix(vocab: Map[String, Term], text: String, overlap: Int, maxDf: Long): Array[String] =
-    new Profile(text).tokens.filter(vocab(_).df <= maxDf).sortBy(vocab(_).rank).take(overlap)
+  /** The inverted prefix index of the `indexed` records `(id, text)`, token
+    * -> ids, ranked by `vocab`: a record's prefix is its `overlap` rarest
+    * tokens of df <= `maxDf`. It is built on the driver and broadcast; each
+    * probe record then looks up its own prefix tokens ([[candidates]]), as
+    * PPJoin probes its index record by record. `within` marks a
+    * within-table side, whose probe and indexed records are one table.
+    */
+  final class Index(vocab: Map[String, Term], indexed: Iterable[(Long, String)],
+                    overlap: Int, maxDf: Long, within: Boolean) extends Serializable {
 
-  /** Distinct pairs `(left_id, right_id)` of a `probe` record and an
-    * `indexed` record that share a prefix token, ranked by the vocabulary
-    * of `tables`. The indexed table's prefixes are collected into an
-    * inverted index, token -> ids, and broadcast with the vocabulary; each
-    * probe record then looks up its own prefix tokens, in one narrow
-    * `flatMap` without a shuffle, and emits its distinct candidates in
-    * ascending id order (consecutive pairs then differ little, which the
-    * column cache of a prepared side compresses). Both broadcasts stay
-    * alive with the result, whose cache may be recomputed through them.
+    private def prefix(text: String): Array[String] =
+      new Profile(text).tokens.filter(vocab(_).df <= maxDf).sortBy(vocab(_).rank).take(overlap)
+
+    private val ids: Map[String, Array[Long]] =
+      indexed.iterator.flatMap { case (rid, s) => prefix(s).map(_ -> rid) }.toArray.groupMap(_._1)(_._2)
+
+    /** The distinct indexed records that share a prefix token with the
+      * probe record `(id, text)`, in ascending id order (consecutive pairs
+      * then differ little, which the column cache of a prepared side
+      * compresses); within a table only the ids above `id`.
+      */
+    def candidates(id: Long, text: String): Array[Long] = {
+      val c = prefix(text).flatMap(ids.getOrElse(_, Array.emptyLongArray)).distinct.sorted
+      if (within) c.filter(_ > id) else c
+    }
+  }
+
+  /** Pairs `(left_id, right_id)` of each `probe` record and its
+    * [[Index.candidates]] in the index of `indexed`, ranked by the
+    * vocabulary of `tables`: the vocabulary job and the indexed table's
+    * collect, then one narrow `flatMap` over the probe records without a
+    * shuffle. The broadcast index stays alive with the result, whose cache
+    * may be recomputed through it.
     */
   private def probeIndex(tables: Seq[DataFrame], probe: DataFrame, indexed: DataFrame, idCol: String,
-                         attr: String, overlap: Int, maxDf: Long): DataFrame = {
-    val sc    = probe.sparkSession.sparkContext
-    val vocab = sc.broadcast(vocabulary(tables, col(attr)))
-    val keys  = records(indexed, idCol, col(attr)).rdd.flatMap { case (rid, s) =>
-      prefix(vocab.value, s, overlap, maxDf).map(_ -> rid)
-    }.collect()
-    val index = sc.broadcast(keys.groupMap(_._1)(_._2))
+                         attr: String, overlap: Int, maxDf: Long, within: Boolean): DataFrame = {
+    val vocab = vocabulary(tables, col(attr))
+    val index = probe.sparkSession.sparkContext.broadcast(
+      new Index(vocab, records(indexed, idCol, col(attr)).collect(), overlap, maxDf, within))
     records(probe, idCol, col(attr)).flatMap { case (rid, s) =>
-      val ix = index.value
-      prefix(vocab.value, s, overlap, maxDf).flatMap(ix.getOrElse(_, Array.emptyLongArray))
-        .distinct.sorted.map(rid -> _)
+      index.value.candidates(rid, s).map(rid -> _)
     }(IdPair).toDF("left_id", "right_id")
   }
 
@@ -82,14 +108,21 @@ object Blocking {
     */
   def candidatePairs(left: DataFrame, right: DataFrame, idCol: String,
                      attr: String, overlap: Int = 5, maxDf: Long = 80): DataFrame =
-    probeIndex(Seq(left, right), left, right, idCol, attr, overlap, maxDf)
+    probeIndex(Seq(left, right), left, right, idCol, attr, overlap, maxDf, within = false)
 
   /** Within-table candidate pairs with `left_id < right_id`, distinct: the
     * table probes its own prefix index.
     */
   def selfCandidatePairs(df: DataFrame, idCol: String, attr: String,
                          overlap: Int = 5, maxDf: Long = 80): DataFrame =
-    probeIndex(Seq(df), df, df, idCol, attr, overlap, maxDf).where(col("left_id") < col("right_id"))
+    probeIndex(Seq(df), df, df, idCol, attr, overlap, maxDf, within = true)
+
+  /** `id -> value` of a table's `records`; ids must be unique. */
+  private[repro] def byId[V](records: Iterable[(Long, V)], idCol: String): Map[Long, V] = {
+    val m = records.toMap
+    require(m.size == records.size, s"ids in $idCol are not unique")
+    m
+  }
 
   /** `pairs` with each side's source attributes as `l_<attr>` / `r_<attr>`
     * columns after its own, as an inner join on `left_id` and `right_id`
@@ -97,16 +130,21 @@ object Blocking {
     * and a NULL attribute stays NULL. Each table's `id -> attrs` is
     * collected once (once for both sides when `left` and `right` are the
     * same DataFrame) and broadcast, so the pairs are never shuffled. Ids
-    * must be unique within a table.
+    * must be unique within a table ([[byId]]).
+    *
+    * Part of the DataFrame layer API (with [[candidatePairs]],
+    * `FeatureGen.addFeatures` and `FeatureGen.imputeAndScale`) that
+    * composes preparation one layer at a time, as the tests and the
+    * benchmark's traced pass do. `Zeroer.prepareCross` and `prepareSelf`
+    * do not use it: they collect each table once and featurize every pair
+    * in the task that probes the index.
     */
   def withPairAttrs(pairs: DataFrame, left: DataFrame, right: DataFrame,
                     idCol: String, attrs: Seq[String]): DataFrame = {
     val sc = pairs.sparkSession.sparkContext
     def table(t: DataFrame) = {
       val rows = t.select(col(idCol).cast("long") +: attrs.map(col): _*).collect()
-      val byId = rows.iterator.map(r => r.getLong(0) -> r.toSeq.tail).toMap
-      require(byId.size == rows.length, s"withPairAttrs: ids in $idCol are not unique")
-      sc.broadcast(byId)
+      sc.broadcast(byId(rows.map(r => r.getLong(0) -> r.toSeq.tail), idCol))
     }
     val l = table(left)
     val r = if (right eq left) l else table(right)

@@ -7,7 +7,7 @@ import org.apache.spark.storage.StorageLevel
 import repro.blocking.Blocking
 import repro.blocking.Blocking.pairKey
 import repro.erdata.ErDataset
-import repro.sim.FeatureGen
+import repro.sim.{FeatureGen, Featurizer, Scaling}
 
 import ZeroerModel._
 import ZeroerEM._
@@ -29,43 +29,79 @@ object Zeroer {
   )
 
   /** Build a prepared cross-table side: blocked candidate pairs with
-    * scaled features and the shared correlation matrix.
+    * scaled features and the shared correlation matrix. The left table
+    * probes the prefix index of the right table.
     */
-  def prepareCross(ds: ErDataset): Prepared = {
-    val cand = Blocking.candidatePairs(ds.left, ds.right, "id", ds.blockAttr,
-                                       ds.blockOverlap, ds.blockMaxDf)
-    prepare(s"${ds.name}-cross", Blocking.withPairAttrs(cand, ds.left, ds.right, "id", ds.attrs), ds)
-  }
+  def prepareCross(ds: ErDataset): Prepared =
+    prepare(s"${ds.name}-cross", ds, records(ds, Seq(ds.left, ds.right)))
 
   /** Prepared within-table side (`which` = "left" | "right") for the
-    * three-component model of §4.3.
+    * three-component model of §4.3: the table probes its own index.
     */
-  def prepareSelf(ds: ErDataset, which: String): Prepared = {
-    val tbl  = if (which == "left") ds.left else ds.right
-    val cand = Blocking.selfCandidatePairs(tbl, "id", ds.blockAttr,
-                                           ds.blockOverlap, ds.blockMaxDf)
-    prepare(s"${ds.name}-$which", Blocking.withPairAttrs(cand, tbl, tbl, "id", ds.attrs), ds)
+  def prepareSelf(ds: ErDataset, which: String): Prepared =
+    prepare(s"${ds.name}-$which", ds, records(ds, Seq(if (which == "left") ds.left else ds.right)))
+
+  /** A table record as preparation reads it: its id, its blocking text
+    * (NULL as empty) and its values of the spec attributes, in spec order,
+    * as strings.
+    */
+  private final case class Record(id: Long, text: String, attrs: Array[String])
+
+  /** Every record of `tables`, per table in table order, collected in one
+    * job: the tables' union, each row tagged with its table.
+    */
+  private def records(ds: ErDataset, tables: Seq[DataFrame]): Seq[Array[Record]] = {
+    val k    = ds.specs.length
+    val cols = col("id").cast("long") +: coalesce(col(ds.blockAttr), lit("")) +:
+               ds.specs.map(s => col(s.attr).cast("string"))
+    val rows = tables.zipWithIndex.map { case (t, i) => t.select(lit(i) +: cols: _*) }.reduce(_ union _).collect()
+    tables.indices.map { i =>
+      rows.filter(_.getInt(0) == i)
+        .map(r => Record(r.getLong(1), r.getString(2), Array.tabulate(k)(j => r.getString(3 + j))))
+    }
   }
 
-  /** Features every candidate pair once: the raw features are persisted
-    * for the one scaling-statistics job and the scaling pass that reads
-    * them. The correlation job scales them into the side's cache and counts
-    * the pairs (`Dataset.count` would add an exchange, and with it a
-    * shuffle, to an otherwise shuffle-free preparation); then they are
-    * released, so only the scaled side stays cached.
+  /** Prepares one side from its tables' `records` (the probe table, then
+    * the indexed one; one table for a within-table side), which one job
+    * collected, in two more jobs; none of the three shuffles:
+    *
+    *  - the driver builds the side's vocabulary and prefix index
+    *    ([[Blocking.Index]]) and broadcasts it with the indexed table's
+    *    `id -> attrs`;
+    *  - one narrow pass over the probe records, in table order and one
+    *    slice per core, probes the index record by record and featurizes
+    *    each candidate pair with a per-task [[Featurizer]]. Its raw
+    *    `(left_id, right_id, features)` are persisted for the one
+    *    scaling-statistics job ([[Scaling]]);
+    *  - the correlation job scales them into the side's cache and counts the
+    *    pairs. Then the raw pairs are released, so only the scaled side
+    *    stays cached, one partition per core.
+    *
+    * Ids must be unique within a table ([[Blocking.byId]]).
     */
-  private def prepare(name: String, pairsWithAttrs: DataFrame, ds: ErDataset): Prepared = {
-    val groups = FeatureGen.groupIndex(ds.specs)
-    val d      = FeatureGen.numFeatures(ds.specs)
-    val raw = FeatureGen.addFeatures(pairsWithAttrs, ds.specs)
-      .select(col("left_id"), col("right_id"), col("features"))
-      .persist(StorageLevel.MEMORY_AND_DISK)
+  private def prepare(name: String, ds: ErDataset, tables: Seq[Array[Record]]): Prepared = {
+    val spark = ds.left.sparkSession
+    import spark.implicits._
+    val sc      = spark.sparkContext
+    val specs   = ds.specs
+    val groups  = FeatureGen.groupIndex(specs)
+    val attrsOf = tables.map(t => Blocking.byId(t.map(r => r.id -> r.attrs), "id"))
+    val index   = sc.broadcast(new Blocking.Index(Blocking.vocabulary(tables.iterator.flatten.map(_.text)),
+                                                  tables.last.map(r => r.id -> r.text),
+                                                  ds.blockOverlap, ds.blockMaxDf, within = tables.size == 1))
+    val indexed = sc.broadcast(attrsOf.last)
+    val raw = sc.parallelize(tables.head.toSeq, sc.defaultParallelism).mapPartitions { probe =>
+      val (ix, attrs, features) = (index.value, indexed.value, new Featurizer(specs))
+      probe.flatMap(p => ix.candidates(p.id, p.text).iterator.map(c => (p.id, c, features(p.attrs, attrs(c)))))
+    }.persist(StorageLevel.MEMORY_AND_DISK)
     val (pairs, (corr, n)) =
       try {
-        val p = FeatureGen.imputeAndScale(raw).persist(StorageLevel.MEMORY_AND_DISK)
+        val scaling = Scaling.fit(raw.map(_._3))
+        val p = raw.map { case (l, r, x) => (l, r, scaling(x)) }.toDF("left_id", "right_id", "features")
+          .persist(StorageLevel.MEMORY_AND_DISK)
         (p, correlationAndCount(p, "features", groups))
       } finally raw.unpersist(blocking = true)
-    Prepared(name, pairs, d, groups, n, corr)
+    Prepared(name, pairs, FeatureGen.numFeatures(specs), groups, n, corr)
   }
 
   /** One EM iteration's E-step at `params`: each side's moment sums, and the

@@ -2,6 +2,7 @@ package repro.sim
 
 import scala.collection.mutable
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Encoders, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ArrayType, DoubleType}
@@ -19,14 +20,114 @@ final case class SimFn(name: String, f: (Profile, Profile) => Double)
   */
 final case class AttrSpec(attr: String, sims: Seq[SimFn])
 
-/** Magellan-style feature generation (paper §2.1, Figure 1(c)).
+/** The per-pair feature kernel: the similarity vector of a pair from its
+  * two records' values of the spec attributes, in spec order (NULL as
+  * null). One instance lives in one task and profiles every distinct
+  * value it meets once (a memo of [[Profile]]s); every function of every
+  * pair is then evaluated on the two profiles. A NULL on either side of
+  * an attribute gives NaN for that group's features.
+  */
+final class Featurizer(specs: Seq[AttrSpec]) {
+  private val sims = specs.map(_.sims.map(_.f).toArray).toArray
+  private val d    = FeatureGen.numFeatures(specs)
+  private val memo = mutable.HashMap.empty[String, Profile]
+
+  private def profile(s: String): Profile = if (s == null) null else memo.getOrElseUpdate(s, new Profile(s))
+
+  def apply(left: Array[String], right: Array[String]): Array[Double] = {
+    val feats = new Array[Double](d)
+    var k = 0
+    var g = 0
+    while (g < sims.length) {
+      val l = profile(left(g))
+      val r = profile(right(g))
+      sims(g).foreach { f =>
+        feats(k) = if (l == null || r == null) Double.NaN else f(l, r)
+        k += 1
+      }
+      g += 1
+    }
+    feats
+  }
+}
+
+/** Mean imputation then min-max scaling of one feature vector (paper
+  * §3.3: "we first use a min-max scaler to normalize every feature into
+  * [0,1]"), with the statistics [[Scaling.fit]] takes: a NaN becomes the
+  * feature's mean; a constant feature scales to 0, and so does a feature
+  * with no value.
+  */
+final case class Scaling(mn: Array[Double], mx: Array[Double], mean: Array[Double]) {
+  def apply(xs: Array[Double]): Array[Double] = {
+    val out = new Array[Double](xs.length)
+    var j = 0
+    while (j < xs.length) {
+      val raw   = if (xs(j).isNaN) mean(j) else xs(j)
+      val range = mx(j) - mn(j)
+      out(j) = if (range <= 0.0) 0.0 else (raw - mn(j)) / range
+      j += 1
+    }
+    out
+  }
+}
+
+object Scaling {
+
+  /** The scaling statistics of `features`, in one job without a shuffle:
+    * each partition summarizes its vectors, and the driver merges the
+    * summaries. Means are summed with compensation, so they are exact to
+    * about an ulp whatever the partitioning and row order.
+    */
+  def fit(features: RDD[Array[Double]]): Scaling = {
+    // per partition and feature j, over the non-NaN values: min at j, max
+    // at d + j, sum at 2d + j with its compensation at 3d + j, count at 4d + j
+    val parts = features.mapPartitions { rows =>
+      if (!rows.hasNext) Iterator.empty
+      else {
+        val first = rows.next()
+        val d     = first.length
+        val s = Array.tabulate(5 * d)(k => if (k < d) Double.PositiveInfinity
+                                           else if (k < 2 * d) Double.NegativeInfinity else 0.0)
+        def add(x: Array[Double]): Unit = {
+          require(x.length == d, s"feature vectors of length ${x.length} and $d")
+          var j = 0
+          while (j < d) {
+            val v = x(j)
+            if (!v.isNaN) {
+              s(j) = math.min(s(j), v); s(d + j) = math.max(s(d + j), v)
+              addCompensated(s, 2 * d + j, 3 * d + j, v); s(4 * d + j) += 1
+            }
+            j += 1
+          }
+        }
+        add(first)
+        rows.foreach(add)
+        Iterator(s)
+      }
+    }.collect()
+    require(parts.map(_.length).distinct.length <= 1, "feature vectors of different lengths")
+    val d     = parts.headOption.map(_.length / 5).getOrElse(0)
+    val count = Array.tabulate(d)(j => parts.map(_(4 * d + j)).sum)
+    val sum   = new Array[Double](2 * d) // compensated sum at j, its error at d + j
+    for (p <- parts; j <- 0 until d) {
+      addCompensated(sum, j, d + j, p(2 * d + j))
+      addCompensated(sum, j, d + j, p(3 * d + j))
+    }
+    Scaling(Array.tabulate(d)(j => if (count(j) > 0) parts.map(_(j)).min else 0.0),
+            Array.tabulate(d)(j => if (count(j) > 0) parts.map(_(d + j)).max else 0.0),
+            Array.tabulate(d)(j => if (count(j) > 0) (sum(j) + sum(d + j)) / count(j) else 0.0))
+  }
+}
+
+/** Magellan-style feature generation (paper §2.1, Figure 1(c)): the specs
+  * of each attribute's similarity functions, and the DataFrame layer API
+  * over [[Featurizer]] and [[Scaling]].
   *
-  * Given a pair DataFrame with `l_<attr>` / `r_<attr>` columns, emits a
-  * `features: array<double>` column holding one similarity per (attribute,
-  * function) combination, in spec order. A pair with a NULL on either side
-  * of an attribute gets NaN for that group's features; NaNs are later
-  * mean-imputed by [[FeatureGen.imputeAndScale]] (the reference ZeroER
-  * implementation does the same for Magellan's NaNs).
+  * A pair's feature vector holds one similarity per (attribute, function)
+  * combination, in spec order. A pair with a NULL on either side of an
+  * attribute gets NaN for that group's features; NaNs are later
+  * mean-imputed by [[Scaling]] (the reference ZeroER implementation does
+  * the same for Magellan's NaNs).
   */
 object FeatureGen {
 
@@ -89,104 +190,38 @@ object FeatureGen {
   def numFeatures(specs: Seq[AttrSpec]): Int = specs.map(_.sims.size).sum
 
   /** Append `features: array<double>` to a pair DataFrame that carries
-    * `l_<attr>` and `r_<attr>` string columns for every spec attribute.
-    * The pairs are first coalesced (narrow, no shuffle) to at most one
-    * partition per core of the session, so every later scan of the result
-    * (scaling, correlation, each EM pass) is one wave of tasks. Each task
-    * profiles every distinct attribute value it meets once (a task-local
-    * memo of [[Profile]]s), then evaluates every function of every pair on
-    * the two profiles.
+    * `l_<attr>` and `r_<attr>` string columns for every spec attribute,
+    * evaluated by one [[Featurizer]] per task. The pairs are first
+    * coalesced (narrow, no shuffle) to at most one partition per core of
+    * the session, so every later scan of the result is one wave of tasks.
+    *
+    * Part of the DataFrame layer API, with `Blocking.withPairAttrs`, that
+    * composes preparation one layer at a time, as the tests and the
+    * benchmark's traced pass do; `Zeroer.prepareCross` and `prepareSelf`
+    * call the [[Featurizer]] in the task that probes the blocking index.
     */
   def addFeatures(pairs: DataFrame, specs: Seq[AttrSpec]): DataFrame = {
-    val sims  = specs.map(_.sims.map(_.f).toArray).toArray
-    val d     = numFeatures(specs)
     val width = pairs.columns.length
     val attrs = specs.flatMap(s => Seq(col(s"l_${s.attr}"), col(s"r_${s.attr}"))).map(_.cast("string"))
     val out   = pairs.schema.add("features", ArrayType(DoubleType, containsNull = false))
     pairs.select(pairs.columns.toSeq.map(c => pairs.col(s"`$c`")) ++ attrs: _*)
       .coalesce(pairs.sparkSession.sparkContext.defaultParallelism)
       .mapPartitions { rows =>
-        val memo = mutable.HashMap.empty[String, Profile]
-        def profile(r: Row, i: Int): Profile =
-          if (r.isNullAt(i)) null
-          else { val s = r.getString(i); memo.getOrElseUpdate(s, new Profile(s)) }
+        val features = new Featurizer(specs)
         rows.map { r =>
-          val feats = new Array[Double](d)
-          var k = 0
-          var g = 0
-          while (g < sims.length) {
-            val l  = profile(r, width + 2 * g)
-            val rt = profile(r, width + 2 * g + 1)
-            sims(g).foreach { f =>
-              feats(k) = if (l == null || rt == null) Double.NaN else f(l, rt)
-              k += 1
-            }
-            g += 1
-          }
-          Row.fromSeq(r.toSeq.take(width) :+ feats)
+          def side(o: Int) = Array.tabulate(specs.length)(g => r.getString(width + 2 * g + o))
+          Row.fromSeq(r.toSeq.take(width) :+ features(side(0), side(1)))
         }
       }(Encoders.row(out))
   }
 
-  /** Mean-impute NaNs then min-max scale each feature to [0,1] (paper §3.3:
-    * "we first use a min-max scaler to normalize every feature into [0,1]").
-    * Constant features scale to 0; a feature with no value scales to 0.
-    * Stats are computed over `df` itself in one job without a shuffle:
-    * each partition summarizes its rows, and the driver merges the
-    * summaries. Means are summed with compensation, so they are exact to
-    * about an ulp whatever the partitioning and row order.
+  /** `df` with its `featCol` vectors imputed and scaled ([[Scaling]]) by
+    * the statistics of `df` itself, taken in one job.
     */
   def imputeAndScale(df: DataFrame, featCol: String = "features"): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
-    // per partition and feature j, over the non-NaN values: min at j, max
-    // at d + j, sum at 2d + j with its compensation at 3d + j, count at 4d + j
-    val parts = df.select(col(featCol)).as[Array[Double]].mapPartitions { rows =>
-      if (!rows.hasNext) Iterator.empty
-      else {
-        val first = rows.next()
-        val d     = first.length
-        val s = Array.tabulate(5 * d)(k => if (k < d) Double.PositiveInfinity
-                                           else if (k < 2 * d) Double.NegativeInfinity else 0.0)
-        def add(x: Array[Double]): Unit = {
-          require(x.length == d, s"feature vectors of length ${x.length} and $d")
-          var j = 0
-          while (j < d) {
-            val v = x(j)
-            if (!v.isNaN) {
-              s(j) = math.min(s(j), v); s(d + j) = math.max(s(d + j), v)
-              addCompensated(s, 2 * d + j, 3 * d + j, v); s(4 * d + j) += 1
-            }
-            j += 1
-          }
-        }
-        add(first)
-        rows.foreach(add)
-        Iterator(s)
-      }
-    }.collect()
-    require(parts.map(_.length).distinct.length <= 1, "feature vectors of different lengths")
-    val d     = parts.headOption.map(_.length / 5).getOrElse(0)
-    val count = Array.tabulate(d)(j => parts.map(_(4 * d + j)).sum)
-    val sum   = new Array[Double](2 * d) // compensated sum at j, its error at d + j
-    for (p <- parts; j <- 0 until d) {
-      addCompensated(sum, j, d + j, p(2 * d + j))
-      addCompensated(sum, j, d + j, p(3 * d + j))
-    }
-    val mn   = Array.tabulate(d)(j => if (count(j) > 0) parts.map(_(j)).min else 0.0)
-    val mx   = Array.tabulate(d)(j => if (count(j) > 0) parts.map(_(d + j)).max else 0.0)
-    val mean = Array.tabulate(d)(j => if (count(j) > 0) (sum(j) + sum(d + j)) / count(j) else 0.0)
-    val scale = udf { (xs: Seq[Double]) =>
-      val out = new Array[Double](xs.length)
-      var j = 0
-      while (j < xs.length) {
-        val raw   = if (xs(j).isNaN) mean(j) else xs(j)
-        val range = mx(j) - mn(j)
-        out(j) = if (range <= 0.0) 0.0 else (raw - mn(j)) / range
-        j += 1
-      }
-      out
-    }
-    df.withColumn(featCol, scale(col(featCol)))
+    val scaling = Scaling.fit(df.select(col(featCol)).as[Array[Double]].rdd)
+    df.withColumn(featCol, udf((xs: Seq[Double]) => scaling(xs.toArray)).apply(col(featCol)))
   }
 }

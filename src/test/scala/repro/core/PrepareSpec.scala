@@ -29,18 +29,22 @@ class PrepareSpec extends SparkSpec {
     "rel_sim"   -> StringSims.numericSim,
   )
 
-  /** The `withPairAttrs` rows that `Zeroer.prepare` featurizes for `which` side. */
-  private def pairsWithAttrs(ds: ErDataset, which: String): DataFrame = {
-    val (l, r, cand) = which match {
-      case "cross" =>
-        (ds.left, ds.right,
-         Blocking.candidatePairs(ds.left, ds.right, "id", ds.blockAttr, ds.blockOverlap, ds.blockMaxDf))
-      case side =>
-        val t = if (side == "left") ds.left else ds.right
-        (t, t, Blocking.selfCandidatePairs(t, "id", ds.blockAttr, ds.blockOverlap, ds.blockMaxDf))
-    }
-    Blocking.withPairAttrs(cand, l, r, "id", ds.attrs)
+  /** The candidate pairs of `which` side, from the DataFrame blocking API. */
+  private def candidates(ds: ErDataset, which: String): DataFrame = which match {
+    case "cross" => Blocking.candidatePairs(ds.left, ds.right, "id", ds.blockAttr, ds.blockOverlap, ds.blockMaxDf)
+    case side    => Blocking.selfCandidatePairs(table(ds, side), "id", ds.blockAttr, ds.blockOverlap, ds.blockMaxDf)
   }
+
+  private def table(ds: ErDataset, side: String): DataFrame = if (side == "left") ds.left else ds.right
+
+  /** The `withPairAttrs` rows of `which` side's candidate pairs. */
+  private def pairsWithAttrs(ds: ErDataset, which: String): DataFrame = {
+    val (l, r) = if (which == "cross") (ds.left, ds.right) else (table(ds, which), table(ds, which))
+    Blocking.withPairAttrs(candidates(ds, which), l, r, "id", ds.attrs)
+  }
+
+  private def prepare(ds: ErDataset, which: String): Prepared =
+    if (which == "cross") Zeroer.prepareCross(ds) else Zeroer.prepareSelf(ds, which)
 
   /** Scaled features per (left_id, right_id), computed on the driver from
     * the collected `withPairAttrs` rows: each function's string definition,
@@ -101,18 +105,30 @@ class PrepareSpec extends SparkSpec {
     } finally sides.foreach(_.pairs.unpersist())
   }
 
+  // The order of a side's pairs is what its column cache compresses: each
+  // probe record's candidates in ascending id order, probe records in table order.
+  for (name <- Datasets.names) test(s"prepared sides keep the blocking order of their pairs on $name") {
+    val ds = Datasets.byName(spark, name, scale = 0.3)
+    for (which <- Seq("cross", "left", "right")) {
+      val p   = prepare(ds, which)
+      val got = try p.pairs.select("left_id", "right_id").collect().map(r => (r.getLong(0), r.getLong(1)))
+                finally p.pairs.unpersist()
+      val want = candidates(ds, which).collect().map(r => (r.getLong(0), r.getLong(1)))
+      assert(got.length == want.length, s"$name $which: ${got.length} pairs, blocking gives ${want.length}")
+      got.indices.find(i => got(i) != want(i)).foreach { i =>
+        fail(s"$name $which: pair $i is ${got(i)}, blocking gives ${want(i)}")
+      }
+    }
+  }
+
   test("prepared sides hold one partition per core") {
     val ds    = Datasets.fz(spark, scale = 0.3)
     val cores = spark.sparkContext.defaultParallelism
     for (which <- Seq("cross", "left", "right")) {
-      val p = if (which == "cross") Zeroer.prepareCross(ds) else Zeroer.prepareSelf(ds, which)
-      try {
-        // as `prepare` sees it: a cached plan keeps its shuffles' partition counts
-        val attrs = pairsWithAttrs(ds, which).persist()
-        val input = try attrs.rdd.getNumPartitions finally attrs.unpersist()
-        assert(p.pairs.rdd.getNumPartitions == math.min(cores, input),
-               s"$which: ${p.pairs.rdd.getNumPartitions} partitions from $input on $cores cores")
-      } finally p.pairs.unpersist()
+      val p = prepare(ds, which)
+      // the probe records are sliced into one partition per core
+      try assert(p.pairs.rdd.getNumPartitions == cores, s"$which: ${p.pairs.rdd.getNumPartitions} on $cores cores")
+      finally p.pairs.unpersist()
     }
   }
 
@@ -133,17 +149,16 @@ class PrepareSpec extends SparkSpec {
     assert(diff <= 1e-9, s"max |Δγ| = $diff")
   }
 
-  test("preparing a side writes no shuffle and runs at most 7 jobs") {
+  test("preparing a side writes no shuffle and runs at most 3 jobs") {
     val ds = Datasets.fz(spark, scale = 0.3)
     for (which <- Seq("cross", "left", "right")) {
       var p: Prepared = null
       val jobs = JobLog.of(spark.sparkContext) {
-        p = if (which == "cross") Zeroer.prepareCross(ds) else Zeroer.prepareSelf(ds, which)
+        p = prepare(ds, which)
       }
       p.pairs.unpersist()
       jobs.foreach(j => assert(j.shuffleBytes == 0, s"$which: a job wrote ${j.shuffleBytes} shuffle bytes: ${j.where}"))
-      val most = if (which == "cross") 6 else 5
-      assert(jobs.size <= most, s"$which: ${jobs.size} jobs: ${jobs.map(_.where).mkString("; ")}")
+      assert(jobs.size <= 3, s"$which: ${jobs.size} jobs: ${jobs.map(_.where).mkString("; ")}")
     }
   }
 
