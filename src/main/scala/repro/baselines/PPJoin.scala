@@ -24,20 +24,21 @@ import repro.sim.Profile
 object PPJoin {
 
   /** Both tables as records (id, tokens sorted by global-frequency rank,
-    * size), over one vocabulary of their concatenated attributes.
+    * size), over one vocabulary of their concatenated attributes: one
+    * [[Blocking.records]] job, then the vocabulary and the tokens on the
+    * driver.
     */
   private def tokenized(left: DataFrame, right: DataFrame, idCol: String,
                         attrs: Seq[String]): (DataFrame, DataFrame) = {
     val spark = left.sparkSession
     import spark.implicits._
-    val text  = concat_ws(" ", attrs.map(col): _*)
-    val vocab = spark.sparkContext.broadcast(Blocking.vocabulary(Seq(left, right), text))
-    def records(df: DataFrame) = Blocking.records(df, idCol, text).map { case (rid, s) =>
-      val v    = vocab.value
-      val toks = new Profile(s).tokens.sortBy(v(_).rank)
-      (rid, toks, toks.length)
-    }.toDF("rid", "toks", "sz")
-    (records(left), records(right))
+    val tables = Blocking.records(Seq(left, right), idCol, concat_ws(" ", attrs.map(col): _*), Nil)
+    val vocab  = Blocking.vocabulary(tables.iterator.flatten.map(_.text))
+    val Seq(l, r) = tables.map(_.toSeq.map { rec =>
+      val toks = new Profile(rec.text).tokens.sortBy(vocab(_).rank)
+      (rec.id, toks, toks.length)
+    }.toDF("rid", "toks", "sz"))
+    (l, r)
   }
 
   /** Similarity join: pairs with sim(tokens_l, tokens_r) >= threshold. */

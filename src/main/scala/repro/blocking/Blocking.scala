@@ -2,7 +2,9 @@ package repro.blocking
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoders, Row, SparkSession}
+import org.apache.spark.SparkContext
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Column, DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{StructField, StructType}
 
@@ -19,88 +21,96 @@ import repro.sim.Profile
   * i.e. is *less* aggressive (more candidates, higher recall); `maxDf`
   * drops stop-word-like tokens whose inverted lists would explode the
   * candidate set quadratically. Tokens are [[Profile.tokens]]; their order
-  * is the broadcast [[vocabulary]] of the tables, which PPJoin shares.
+  * is the [[vocabulary]] of the tables, which PPJoin shares.
+  *
+  * Candidate generation is [[records]] (one collect) then [[probe]]; the
+  * blocking API and `Zeroer.prepareCross`/`prepareSelf` run both in turn.
   */
 object Blocking {
 
   /** A token's document frequency and its rank in the global order. */
   final case class Term(df: Long, rank: Int)
 
-  /** Every token of `text` over `tables` with its document frequency and
-    * its rank from 1 in ascending (df, token) order. One job counts the
-    * tokens of each partition and merges the counts on the driver, which
-    * sorts the vocabulary. NULL text has no tokens.
+  /** Every token of `texts` with its document frequency (each distinct
+    * token of a text counted once) and its rank from 1 in ascending
+    * (df, token) order, counted and sorted on the driver.
     */
-  def vocabulary(tables: Seq[DataFrame], text: Column): Map[String, Term] = {
-    val texts = tables.map(_.select(coalesce(text, lit(""))).as(Encoders.STRING)).reduce(_ union _)
-    ranked(texts.rdd.aggregate(mutable.HashMap.empty[String, Long])(
-      countTokens, (a, b) => { b.foreach { case (t, n) => a(t) = a.getOrElse(t, 0L) + n }; a }))
-  }
-
-  /** [[vocabulary]] of texts already on the driver, by the same rule. */
-  def vocabulary(texts: Iterator[String]): Map[String, Term] =
-    ranked(texts.foldLeft(mutable.HashMap.empty[String, Long])(countTokens))
-
-  /** `df` with each distinct token of `text` counted once more. */
-  private def countTokens(df: mutable.HashMap[String, Long], text: String): mutable.HashMap[String, Long] = {
-    new Profile(text).tokens.foreach(t => df(t) = df.getOrElse(t, 0L) + 1)
-    df
-  }
-
-  private def ranked(df: mutable.HashMap[String, Long]): Map[String, Term] =
+  def vocabulary(texts: Iterator[String]): Map[String, Term] = {
+    val df = mutable.HashMap.empty[String, Long]
+    texts.foreach(new Profile(_).tokens.foreach(t => df(t) = df.getOrElse(t, 0L) + 1))
     df.toArray.sortBy { case (t, n) => (n, t) }.iterator.zipWithIndex
       .map { case ((t, n), i) => t -> Term(n, i + 1) }.toMap
+  }
 
-  private val IdText = Encoders.tuple(Encoders.scalaLong, Encoders.STRING)
+  /** A table record: its id, blocking text (NULL as empty) and attributes as strings. */
+  final case class Record(id: Long, text: String, attrs: Array[String])
 
-  /** `(id, text)` of every record of `df`, NULL text as empty. */
-  private[repro] def records(df: DataFrame, idCol: String, text: Column): Dataset[(Long, String)] =
-    df.select(col(idCol).cast("long"), coalesce(text, lit(""))).as(IdText)
-
-  private val IdPair = Encoders.tuple(Encoders.scalaLong, Encoders.scalaLong)
-
-  /** The inverted prefix index of the `indexed` records `(id, text)`, token
-    * -> ids, ranked by `vocab`: a record's prefix is its `overlap` rarest
-    * tokens of df <= `maxDf`. It is built on the driver and broadcast; each
-    * probe record then looks up its own prefix tokens ([[candidates]]), as
-    * PPJoin probes its index record by record. `within` marks a
-    * within-table side, whose probe and indexed records are one table.
+  /** Every record of `tables`, per table in table order, collected in one
+    * job: the tables' union, each row tagged with its table. Ids must be
+    * unique within a table ([[byId]]).
     */
-  final class Index(vocab: Map[String, Term], indexed: Iterable[(Long, String)],
-                    overlap: Int, maxDf: Long, within: Boolean) extends Serializable {
+  def records(tables: Seq[DataFrame], idCol: String, text: Column, attrs: Seq[String]): Seq[Array[Record]] = {
+    val k    = attrs.length
+    val cols = col(idCol).cast("long") +: coalesce(text, lit("")) +: attrs.map(a => col(a).cast("string"))
+    val rows = tables.zipWithIndex.map { case (t, i) => t.select(lit(i) +: cols: _*) }.reduce(_ union _).collect()
+    tables.indices.map { i =>
+      val t = rows.filter(_.getInt(0) == i)
+        .map(r => Record(r.getLong(1), r.getString(2), Array.tabulate(k)(j => r.getString(3 + j))))
+      byId(t.map(r => r.id -> r), idCol)
+      t
+    }
+  }
+
+  /** The inverted prefix index of the `indexed` records, token -> records,
+    * ranked by `vocab`: a record's prefix is its `overlap` rarest tokens of
+    * df <= `maxDf`. Each probe record looks up its own prefix tokens
+    * ([[candidates]]), as PPJoin probes its index record by record.
+    * `within` marks a within-table side, whose probe and indexed records
+    * are one table.
+    */
+  private final class Index(vocab: Map[String, Term], indexed: Array[Record],
+                            overlap: Int, maxDf: Long, within: Boolean) extends Serializable {
 
     private def prefix(text: String): Array[String] =
       new Profile(text).tokens.filter(vocab(_).df <= maxDf).sortBy(vocab(_).rank).take(overlap)
 
-    private val ids: Map[String, Array[Long]] =
-      indexed.iterator.flatMap { case (rid, s) => prefix(s).map(_ -> rid) }.toArray.groupMap(_._1)(_._2)
+    private val byToken: Map[String, Array[Record]] =
+      indexed.iterator.flatMap(r => prefix(r.text).map(_ -> r)).toArray.groupMap(_._1)(_._2)
 
     /** The distinct indexed records that share a prefix token with the
-      * probe record `(id, text)`, in ascending id order (consecutive pairs
-      * then differ little, which the column cache of a prepared side
-      * compresses); within a table only the ids above `id`.
+      * probe record `p`, in ascending id order (consecutive pairs then
+      * differ little, which the column cache of a prepared side
+      * compresses); within a table only the ids above `p`'s.
       */
-    def candidates(id: Long, text: String): Array[Long] = {
-      val c = prefix(text).flatMap(ids.getOrElse(_, Array.emptyLongArray)).distinct.sorted
-      if (within) c.filter(_ > id) else c
+    def candidates(p: Record): Array[Record] = {
+      val c = prefix(p.text).flatMap(byToken.getOrElse(_, Array.empty[Record])).distinctBy(_.id).sortBy(_.id)
+      if (within) c.filter(_.id > p.id) else c
     }
   }
 
-  /** Pairs `(left_id, right_id)` of each `probe` record and its
-    * [[Index.candidates]] in the index of `indexed`, ranked by the
-    * vocabulary of `tables`: the vocabulary job and the indexed table's
-    * collect, then one narrow `flatMap` over the probe records without a
-    * shuffle. The broadcast index stays alive with the result, whose cache
-    * may be recomputed through it.
+  /** Each record of `tables.head` paired with its [[Index.candidates]]
+    * among `tables.last` (one table for a within-table side). The driver
+    * builds the [[vocabulary]] of `tables` and the index, and broadcasts
+    * the index; one narrow pass over the probe records, in table order and
+    * one slice per core, probes it. No job runs until the result is read,
+    * and none shuffles; the broadcast stays alive with the result.
     */
-  private def probeIndex(tables: Seq[DataFrame], probe: DataFrame, indexed: DataFrame, idCol: String,
-                         attr: String, overlap: Int, maxDf: Long, within: Boolean): DataFrame = {
-    val vocab = vocabulary(tables, col(attr))
-    val index = probe.sparkSession.sparkContext.broadcast(
-      new Index(vocab, records(indexed, idCol, col(attr)).collect(), overlap, maxDf, within))
-    records(probe, idCol, col(attr)).flatMap { case (rid, s) =>
-      index.value.candidates(rid, s).map(rid -> _)
-    }(IdPair).toDF("left_id", "right_id")
+  def probe(sc: SparkContext, tables: Seq[Array[Record]], overlap: Int, maxDf: Long): RDD[(Record, Record)] = {
+    val index = sc.broadcast(new Index(vocabulary(tables.iterator.flatten.map(_.text)), tables.last,
+                                       overlap, maxDf, within = tables.size == 1))
+    sc.parallelize(tables.head.toSeq, sc.defaultParallelism).mapPartitions { probes =>
+      val ix = index.value
+      probes.flatMap(p => ix.candidates(p).iterator.map(p -> _))
+    }
+  }
+
+  /** `(left_id, right_id)` of the pairs [[probe]] finds in `tables`. */
+  private def candidateIds(tables: Seq[DataFrame], idCol: String, attr: String,
+                           overlap: Int, maxDf: Long): DataFrame = {
+    val spark = tables.head.sparkSession
+    import spark.implicits._
+    probe(spark.sparkContext, records(tables, idCol, col(attr), Nil), overlap, maxDf)
+      .map { case (p, c) => (p.id, c.id) }.toDF("left_id", "right_id")
   }
 
   /** Cross-table candidate pairs `(left_id, right_id)`, distinct: `left`
@@ -108,17 +118,17 @@ object Blocking {
     */
   def candidatePairs(left: DataFrame, right: DataFrame, idCol: String,
                      attr: String, overlap: Int = 5, maxDf: Long = 80): DataFrame =
-    probeIndex(Seq(left, right), left, right, idCol, attr, overlap, maxDf, within = false)
+    candidateIds(Seq(left, right), idCol, attr, overlap, maxDf)
 
   /** Within-table candidate pairs with `left_id < right_id`, distinct: the
     * table probes its own prefix index.
     */
   def selfCandidatePairs(df: DataFrame, idCol: String, attr: String,
                          overlap: Int = 5, maxDf: Long = 80): DataFrame =
-    probeIndex(Seq(df), df, df, idCol, attr, overlap, maxDf, within = true)
+    candidateIds(Seq(df), idCol, attr, overlap, maxDf)
 
   /** `id -> value` of a table's `records`; ids must be unique. */
-  private[repro] def byId[V](records: Iterable[(Long, V)], idCol: String): Map[Long, V] = {
+  private def byId[V](records: Iterable[(Long, V)], idCol: String): Map[Long, V] = {
     val m = records.toMap
     require(m.size == records.size, s"ids in $idCol are not unique")
     m
@@ -136,8 +146,8 @@ object Blocking {
     * `FeatureGen.addFeatures` and `FeatureGen.imputeAndScale`) that
     * composes preparation one layer at a time, as the tests and the
     * benchmark's traced pass do. `Zeroer.prepareCross` and `prepareSelf`
-    * do not use it: they collect each table once and featurize every pair
-    * in the task that probes the index.
+    * do not use it: they featurize each pair from its [[Record]]s in the
+    * task that [[probe]]s it.
     */
   def withPairAttrs(pairs: DataFrame, left: DataFrame, right: DataFrame,
                     idCol: String, attrs: Seq[String]): DataFrame = {

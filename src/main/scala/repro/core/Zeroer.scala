@@ -5,7 +5,6 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 
 import repro.blocking.Blocking
-import repro.blocking.Blocking.pairKey
 import repro.erdata.ErDataset
 import repro.sim.{FeatureGen, Featurizer, Scaling}
 
@@ -32,67 +31,40 @@ object Zeroer {
     * scaled features and the shared correlation matrix. The left table
     * probes the prefix index of the right table.
     */
-  def prepareCross(ds: ErDataset): Prepared =
-    prepare(s"${ds.name}-cross", ds, records(ds, Seq(ds.left, ds.right)))
+  def prepareCross(ds: ErDataset): Prepared = prepare(s"${ds.name}-cross", ds, Seq(ds.left, ds.right))
 
   /** Prepared within-table side (`which` = "left" | "right") for the
     * three-component model of §4.3: the table probes its own index.
     */
   def prepareSelf(ds: ErDataset, which: String): Prepared =
-    prepare(s"${ds.name}-$which", ds, records(ds, Seq(if (which == "left") ds.left else ds.right)))
+    prepare(s"${ds.name}-$which", ds, Seq(if (which == "left") ds.left else ds.right))
 
-  /** A table record as preparation reads it: its id, its blocking text
-    * (NULL as empty) and its values of the spec attributes, in spec order,
-    * as strings.
-    */
-  private final case class Record(id: Long, text: String, attrs: Array[String])
-
-  /** Every record of `tables`, per table in table order, collected in one
-    * job: the tables' union, each row tagged with its table.
-    */
-  private def records(ds: ErDataset, tables: Seq[DataFrame]): Seq[Array[Record]] = {
-    val k    = ds.specs.length
-    val cols = col("id").cast("long") +: coalesce(col(ds.blockAttr), lit("")) +:
-               ds.specs.map(s => col(s.attr).cast("string"))
-    val rows = tables.zipWithIndex.map { case (t, i) => t.select(lit(i) +: cols: _*) }.reduce(_ union _).collect()
-    tables.indices.map { i =>
-      rows.filter(_.getInt(0) == i)
-        .map(r => Record(r.getLong(1), r.getString(2), Array.tabulate(k)(j => r.getString(3 + j))))
-    }
-  }
-
-  /** Prepares one side from its tables' `records` (the probe table, then
-    * the indexed one; one table for a within-table side), which one job
-    * collected, in two more jobs; none of the three shuffles:
+  /** Prepares one side of `tables` (the probe table, then the indexed one;
+    * one table for a within-table side) in three jobs, none of which
+    * shuffles:
     *
-    *  - the driver builds the side's vocabulary and prefix index
-    *    ([[Blocking.Index]]) and broadcasts it with the indexed table's
-    *    `id -> attrs`;
-    *  - one narrow pass over the probe records, in table order and one
-    *    slice per core, probes the index record by record and featurizes
-    *    each candidate pair with a per-task [[Featurizer]]. Its raw
-    *    `(left_id, right_id, features)` are persisted for the one
+    *  - [[Blocking.records]] collects the tables' ids, blocking texts and
+    *    spec attributes;
+    *  - [[Blocking.probe]] pairs each probe record with its candidates in
+    *    one narrow pass, in table order and one slice per core, and a
+    *    per-task [[Featurizer]] featurizes each pair in the same pass. Its
+    *    raw `(left_id, right_id, features)` are persisted for the one
     *    scaling-statistics job ([[Scaling]]);
     *  - the correlation job scales them into the side's cache and counts the
     *    pairs. Then the raw pairs are released, so only the scaled side
     *    stays cached, one partition per core.
     *
-    * Ids must be unique within a table ([[Blocking.byId]]).
+    * Ids must be unique within a table.
     */
-  private def prepare(name: String, ds: ErDataset, tables: Seq[Array[Record]]): Prepared = {
+  private def prepare(name: String, ds: ErDataset, tables: Seq[DataFrame]): Prepared = {
     val spark = ds.left.sparkSession
     import spark.implicits._
-    val sc      = spark.sparkContext
     val specs   = ds.specs
     val groups  = FeatureGen.groupIndex(specs)
-    val attrsOf = tables.map(t => Blocking.byId(t.map(r => r.id -> r.attrs), "id"))
-    val index   = sc.broadcast(new Blocking.Index(Blocking.vocabulary(tables.iterator.flatten.map(_.text)),
-                                                  tables.last.map(r => r.id -> r.text),
-                                                  ds.blockOverlap, ds.blockMaxDf, within = tables.size == 1))
-    val indexed = sc.broadcast(attrsOf.last)
-    val raw = sc.parallelize(tables.head.toSeq, sc.defaultParallelism).mapPartitions { probe =>
-      val (ix, attrs, features) = (index.value, indexed.value, new Featurizer(specs))
-      probe.flatMap(p => ix.candidates(p.id, p.text).iterator.map(c => (p.id, c, features(p.attrs, attrs(c)))))
+    val records = Blocking.records(tables, "id", col(ds.blockAttr), specs.map(_.attr))
+    val raw = Blocking.probe(spark.sparkContext, records, ds.blockOverlap, ds.blockMaxDf).mapPartitions { pairs =>
+      val features = new Featurizer(specs)
+      pairs.map { case (l, r) => (l.id, r.id, features(l.attrs, r.attrs)) }
     }.persist(StorageLevel.MEMORY_AND_DISK)
     val (pairs, (corr, n)) =
       try {
@@ -127,8 +99,8 @@ object Zeroer {
       // candidate set; constraints would be meaningless and quadratic.
       val guarded  = premises.size > math.max(1000, 20 * math.sqrt(sides(0).n.toDouble).toLong)
       val (lk, rk) = if (guarded) (Set.empty[Long], Set.empty[Long]) else Transitivity.conclusionKeys(premises)
-      def conclusion(keys: Set[Long]): GammaRow => Boolean =
-        q => keys(pairKey(math.min(q.leftId, q.rightId), math.max(q.leftId, q.rightId)))
+      // a within-table pair has left_id < right_id, so its key is its conclusion's
+      def conclusion(keys: Set[Long]): GammaRow => Boolean = q => keys(q.pairId)
       val within = moments(sides.drop(1), rows.drop(1), Some(params.drop(1)),
                            Seq(conclusion(lk), conclusion(rk)), epsInit)
       val overrides =
@@ -150,7 +122,7 @@ object Zeroer {
     require(leftSide.isDefined == rightSide.isDefined,
             "fit takes both within-table sides or neither")
     val t0 = System.nanoTime()
-    // Index-aligned with Transitivity's sides: 0 cross, 1 left, 2 right.
+    // In Transitivity's side order: 0 cross, 1 left, 2 right.
     val sides: Seq[Prepared] =
       if (cfg.transMode == TransMode.Constraint) cross +: (leftSide.toSeq ++ rightSide.toSeq)
       else Seq(cross)

@@ -11,8 +11,8 @@ import repro.core.ZeroerEM.Prepared
 import repro.erdata.{Datasets, ErDataset}
 import repro.sim.FeatureGen
 
-/** Harness producing the paper's evaluation tables (shared by the bench
-  * suites and the spark-submit jobs). Prepared candidate sets and the full
+/** Harness producing the paper's evaluation tables, which the bench suites
+  * (`sbt bench/test`) print. Prepared candidate sets and the full
   * ZeroER result are memoized per (dataset, scale) within the JVM so
   * Tables 3, 4 and 5 do not redo blocking/EM work.
   */
@@ -148,11 +148,7 @@ object Tables {
     val p      = prepare(spark, name, scale)
     val truth  = p.ds.truth
     val (l, r) = selfSides(spark, name, scale)
-    def ablated(cfg0: Config): Double = {
-      // ablated models (esp. uniform reg) tend to oscillate instead of
-      // converging — cap their EM budget (the paper averages the tail
-      // instead; either way the run is bounded)
-      val cfg   = cfg0.copy(maxIter = 25)
+    def ablated(cfg: Config): Double = {
       val sides = if (cfg.transMode == TransMode.Constraint) (Some(l), Some(r)) else (None, None)
       val res   = Zeroer.fit(p.cross, sides._1, sides._2, cfg)
       try Metrics.prf(res.predictions, truth).f1 finally res.gammaDf.unpersist()

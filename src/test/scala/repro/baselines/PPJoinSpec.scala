@@ -109,7 +109,8 @@ class PPJoinSpec extends SparkSpec {
       .groupBy("tok").agg(count(lit(1)).as("df"))
       .select(col("tok"), col("df"), row_number().over(Window.orderBy(col("df"), col("tok"))).as("r"))
       .collect().map(r => r.getString(0) -> Blocking.Term(r.getLong(1), r.getInt(2))).toMap
-    val got = Blocking.vocabulary(Seq(ds.left, ds.right), concat_ws(" ", ds.attrs.map(col): _*))
+    val tables = Blocking.records(Seq(ds.left, ds.right), "id", concat_ws(" ", ds.attrs.map(col): _*), Nil)
+    val got    = Blocking.vocabulary(tables.iterator.flatten.map(_.text))
     assert(got.nonEmpty && got == window)
   }
 

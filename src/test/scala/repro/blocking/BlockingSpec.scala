@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-import repro.SparkSpec
+import repro.{JobLog, SparkSpec}
 import repro.erdata.Datasets
 
 class BlockingSpec extends SparkSpec {
@@ -135,6 +135,19 @@ class BlockingSpec extends SparkSpec {
     val t = tbl(1L -> "alpha", 2L -> "alpha")
     val c = Blocking.selfCandidatePairs(t, "id", "name", 3, 100).collect()
     assert(c.forall(r => r.getLong(0) != r.getLong(1)))
+  }
+
+  test("candidate generation is one job without a shuffle") {
+    val ds        = Datasets.fz(spark, scale = 0.3)
+    val (a, o, m) = (ds.blockAttr, ds.blockOverlap, ds.blockMaxDf)
+    val sides = Seq[(String, () => DataFrame)](
+      "cross" -> (() => Blocking.candidatePairs(ds.left, ds.right, "id", a, o, m)),
+      "left"  -> (() => Blocking.selfCandidatePairs(ds.left, "id", a, o, m)))
+    for ((side, pairs) <- sides) {
+      val jobs = JobLog.of(spark.sparkContext) { pairs(); () }
+      jobs.foreach(j => assert(j.shuffleBytes == 0, s"$side: a job wrote ${j.shuffleBytes} shuffle bytes: ${j.where}"))
+      assert(jobs.size == 1, s"$side: ${jobs.size} jobs: ${jobs.map(_.where).mkString("; ")}")
+    }
   }
 
   test("withPairAttrs attaches both sides' attributes") {

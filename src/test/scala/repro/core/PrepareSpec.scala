@@ -162,6 +162,21 @@ class PrepareSpec extends SparkSpec {
     }
   }
 
+  test("a repeated id within a table is rejected") {
+    val ds  = Datasets.fz(spark, scale = 0.3)
+    val dup = ds.left.union(ds.left.limit(1))
+    val (a, o, m) = (ds.blockAttr, ds.blockOverlap, ds.blockMaxDf)
+    val callers = Seq[(String, () => Any)](
+      "candidatePairs, probe table"   -> (() => Blocking.candidatePairs(dup, ds.right, "id", a, o, m)),
+      "candidatePairs, indexed table" -> (() => Blocking.candidatePairs(ds.right, dup, "id", a, o, m)),
+      "selfCandidatePairs"            -> (() => Blocking.selfCandidatePairs(dup, "id", a, o, m)),
+      "prepareCross"                  -> (() => Zeroer.prepareCross(ds.copy(left = dup))))
+    for ((caller, call) <- callers) {
+      val e = intercept[IllegalArgumentException](call())
+      assert(e.getMessage.contains("ids in id are not unique"), s"$caller: ${e.getMessage}")
+    }
+  }
+
   test("preparation leaves only the prepared side cached") {
     val ds     = Datasets.fz(spark, scale = 0.3)
     def cached = spark.sparkContext.getPersistentRDDs.keySet.toSet
