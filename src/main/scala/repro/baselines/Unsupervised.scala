@@ -1,5 +1,7 @@
 package repro.baselines
 
+import java.util.Arrays
+
 import org.apache.spark.ml.clustering.{GaussianMixture, KMeans}
 import org.apache.spark.ml.functions.array_to_vector
 import org.apache.spark.sql.DataFrame
@@ -47,12 +49,14 @@ object Unsupervised {
     * *fixed-initialized* at similarity 0.05 (unmatch) and 0.95 (match) in
     * every dimension, so the tiny match cluster cannot be swallowed by a
     * random init. Each update is the plain per-cluster mean from one pass
-    * summing each cluster's count and Σx; a typed filter returns the pairs.
+    * summing each cluster's count and Σx, until a fixed point; a typed
+    * filter returns the pairs.
     */
   def kmRl(pairs: DataFrame): DataFrame = {
     val d = pairs.select(size(col("features"))).head().getInt(0)
     var (cU, cM) = (Array.fill(d)(0.05), Array.fill(d)(0.95))
-    for (_ <- 0 until KmRlUpdates) {
+    var fixed = false
+    for (_ <- 0 until KmRlUpdates if !fixed) {
       val (u, m) = (cU, cM)
       // sums layout: count of U, count of M, then Σx of U and of M (d each)
       val s = sums(pairs, 2 + 2 * d) { (s, x) =>
@@ -65,6 +69,7 @@ object Unsupervised {
       def mean(k: Int, c: Array[Double]) =
         if (s(k) == 0) c else Array.tabulate(d)(j => s(2 + k * d + j) / s(k))
       cU = mean(0, u); cM = mean(1, m)
+      fixed = Arrays.equals(cU, u) && Arrays.equals(cM, m)
     }
     val (u, m) = (cU, cM)
     matches(pairs)(nearerM(_, u, m))
@@ -74,13 +79,15 @@ object Unsupervised {
     * Bernoulli mixture fitted by expectation-conditional-maximization.
     * Features are binarized at 0.5 of their scaled range — the information
     * loss the paper blames for ECM's poor results. Each iteration is one
-    * pass summing n, Σγ, Σγ·b and Σb; a typed filter returns the pairs.
+    * pass summing n, Σγ, Σγ·b and Σb, until a fixed point; a typed filter
+    * returns the pairs.
     */
   def ecm(pairs: DataFrame): DataFrame = {
     val d = pairs.select(size(col("features"))).head().getInt(0)
     var (pi, pM, pU) = (0.1, Array.fill(d)(0.8), Array.fill(d)(0.2))
     def clampP(p: Double) = math.min(math.max(p, 1e-4), 1.0 - 1e-4)
-    for (_ <- 0 until EcmIters) {
+    var fixed = false
+    for (_ <- 0 until EcmIters if !fixed) {
       val (bpi, bpM, bpU) = (pi, pM, pU)
       // sums layout: n, Σγ, then Σγ·b and Σb (d each)
       val s = sums(pairs, 2 + 2 * d) { (s, x) =>
@@ -94,13 +101,18 @@ object Unsupervised {
       pi = math.min(math.max(nM / s(0), 1e-6), 1.0 - 1e-6)
       pM = Array.tabulate(d)(j => clampP(s(2 + j) / nM))
       pU = Array.tabulate(d)(j => clampP((s(2 + d + j) - s(2 + j)) / nU))
+      fixed = pi == bpi && Arrays.equals(pM, bpM) && Arrays.equals(pU, bpU)
     }
     // the match component is the one with the higher mean Bernoulli rate
     val (fpi, fM, fU) = if (pM.sum >= pU.sum) (pi, pM, pU) else (1.0 - pi, pU, pM)
     matches(pairs)(ecmGamma(_, fpi, fM, fU) > 0.5)
   }
 
-  // KM-RL makes 15 passes: 14 centroid updates, then the assignment returned
+  // Caps on the updates. KM-RL and ECM stop earlier at a fixed point, an
+  // update that leaves every parameter bit for bit as it was: a pass is a
+  // deterministic function of the parameters over the same pairs, so every
+  // later pass would repeat it and no prediction could change. KM-RL makes
+  // at most 15 passes: 14 centroid updates, then the assignment returned.
   private val KmRlUpdates = 14
   private val EcmIters    = 60
 

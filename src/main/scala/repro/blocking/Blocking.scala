@@ -21,10 +21,13 @@ import repro.sim.Profile
   * i.e. is *less* aggressive (more candidates, higher recall); `maxDf`
   * drops stop-word-like tokens whose inverted lists would explode the
   * candidate set quadratically. Tokens are [[Profile.tokens]]; their order
-  * is the [[vocabulary]] of the tables, which PPJoin shares.
+  * is the [[vocabulary]] of the tables.
   *
   * Candidate generation is [[records]] (one collect) then [[probe]]; the
-  * blocking API and `Zeroer.prepareCross`/`prepareSelf` run both in turn.
+  * blocking API, `Zeroer.prepareCross`/`prepareSelf` and PPJoin run both
+  * in turn. The prefix length is a function of a record's token count:
+  * blocking's is the constant `overlap`, PPJoin's follows its similarity
+  * threshold.
   */
 object Blocking {
 
@@ -62,17 +65,19 @@ object Blocking {
   }
 
   /** The inverted prefix index of the `indexed` records, token -> records,
-    * ranked by `vocab`: a record's prefix is its `overlap` rarest tokens of
-    * df <= `maxDf`. Each probe record looks up its own prefix tokens
-    * ([[candidates]]), as PPJoin probes its index record by record.
-    * `within` marks a within-table side, whose probe and indexed records
-    * are one table.
+    * ranked by `vocab`: a record keeps its tokens of df <= `maxDf`, and its
+    * prefix is the `prefixLen(s)` rarest of those s tokens. Each probe
+    * record looks up its own prefix tokens ([[candidates]]), as PPJoin
+    * probes its index record by record. `within` marks a within-table
+    * side, whose probe and indexed records are one table.
     */
   private final class Index(vocab: Map[String, Term], indexed: Array[Record],
-                            overlap: Int, maxDf: Long, within: Boolean) extends Serializable {
+                            prefixLen: Int => Int, maxDf: Long, within: Boolean) extends Serializable {
 
-    private def prefix(text: String): Array[String] =
-      new Profile(text).tokens.filter(vocab(_).df <= maxDf).sortBy(vocab(_).rank).take(overlap)
+    private def prefix(text: String): Array[String] = {
+      val t = new Profile(text).tokens.filter(vocab(_).df <= maxDf).sortBy(vocab(_).rank)
+      t.take(prefixLen(t.length))
+    }
 
     private val byToken: Map[String, Array[Record]] =
       indexed.iterator.flatMap(r => prefix(r.text).map(_ -> r)).toArray.groupMap(_._1)(_._2)
@@ -89,15 +94,18 @@ object Blocking {
   }
 
   /** Each record of `tables.head` paired with its [[Index.candidates]]
-    * among `tables.last` (one table for a within-table side). The driver
-    * builds the [[vocabulary]] of `tables` and the index, and broadcasts
-    * the index; one narrow pass over the probe records, in table order and
-    * one slice per core, probes it. No job runs until the result is read,
-    * and none shuffles; the broadcast stays alive with the result.
+    * among `tables.last` (one table for a within-table side), under the
+    * [[Index]]'s `prefixLen` and `maxDf`. The driver builds the
+    * [[vocabulary]] of `tables` and the index, and broadcasts the index
+    * with `prefixLen`, which should therefore capture only what it reads;
+    * one narrow pass over the probe records, in table order and one slice
+    * per core, probes it. No job runs until the result is read, and none
+    * shuffles; the broadcast stays alive with the result.
     */
-  def probe(sc: SparkContext, tables: Seq[Array[Record]], overlap: Int, maxDf: Long): RDD[(Record, Record)] = {
+  def probe(sc: SparkContext, tables: Seq[Array[Record]], prefixLen: Int => Int,
+            maxDf: Long): RDD[(Record, Record)] = {
     val index = sc.broadcast(new Index(vocabulary(tables.iterator.flatten.map(_.text)), tables.last,
-                                       overlap, maxDf, within = tables.size == 1))
+                                       prefixLen, maxDf, within = tables.size == 1))
     sc.parallelize(tables.head.toSeq, sc.defaultParallelism).mapPartitions { probes =>
       val ix = index.value
       probes.flatMap(p => ix.candidates(p).iterator.map(p -> _))
@@ -109,7 +117,7 @@ object Blocking {
                            overlap: Int, maxDf: Long): DataFrame = {
     val spark = tables.head.sparkSession
     import spark.implicits._
-    probe(spark.sparkContext, records(tables, idCol, col(attr), Nil), overlap, maxDf)
+    probe(spark.sparkContext, records(tables, idCol, col(attr), Nil), _ => overlap, maxDf)
       .map { case (p, c) => (p.id, c.id) }.toDF("left_id", "right_id")
   }
 

@@ -62,7 +62,9 @@ object Zeroer {
     val specs   = ds.specs
     val groups  = FeatureGen.groupIndex(specs)
     val records = Blocking.records(tables, "id", col(ds.blockAttr), specs.map(_.attr))
-    val raw = Blocking.probe(spark.sparkContext, records, ds.blockOverlap, ds.blockMaxDf).mapPartitions { pairs =>
+    // a local, so the broadcast index captures the Int and not the dataset
+    val overlap = ds.blockOverlap
+    val raw = Blocking.probe(spark.sparkContext, records, _ => overlap, ds.blockMaxDf).mapPartitions { pairs =>
       val features = new Featurizer(specs)
       pairs.map { case (l, r) => (l.id, r.id, features(l.attrs, r.attrs)) }
     }.persist(StorageLevel.MEMORY_AND_DISK)

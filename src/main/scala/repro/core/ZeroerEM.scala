@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
 import repro.blocking.Blocking.pairKey
@@ -44,18 +44,8 @@ object ZeroerEM {
                             gamma: Double, logA: Double, logB: Double)
 
   /** Shared correlation matrix R (§3.1), estimated once over the entire
-    * candidate set, masked to the feature-group block structure.
-    *
-    * One job without a shuffle: each partition sums x, x² and the
-    * within-group products xᵢxⱼ, and the driver adds the sums in partition
-    * order, both with compensation ([[LinAlg.addCompensated]]). The
-    * covariance subtracts two close terms, so plain sums over large
-    * partitions lose digits of r; compensated ones are exact to about an ulp
-    * whatever the partitioning. Pearson's r is formed as Spark's
-    * `Correlation.corr` forms it (sample covariance over the product of
-    * standard deviations). A constant feature (variance within 1e-12 of
-    * zero, Spark's cut-off) has no defined correlation: its row and column
-    * are 0 off the diagonal.
+    * candidate set, masked to the feature-group block structure: the
+    * correlation of [[groupMoments]] with every row in one class.
     */
   def sharedCorrelation(features: DataFrame, featCol: String, groups: Array[Int]): Array[Array[Double]] =
     correlationAndCount(features, featCol, groups)._1
@@ -65,19 +55,49 @@ object ZeroerEM {
     */
   private[core] def correlationAndCount(features: DataFrame, featCol: String,
                                         groups: Array[Int]): (Array[Array[Double]], Long) = {
+    val spark = features.sparkSession
+    import spark.implicits._
+    val m = groupMoments(features.select(lit(0), col(featCol)).as[(Int, Array[Double])], 1, groups).head
+    (m.corr, m.n)
+  }
+
+  /** One class's rows, their sample covariance and their Pearson
+    * correlation, both masked to the feature groups (0 across groups).
+    */
+  final case class ClassMoments(n: Long, cov: Array[Array[Double]], corr: Array[Array[Double]])
+
+  /** The [[ClassMoments]] of each class `0 until classes` of `rows`
+    * (class, x), in class order.
+    *
+    * One job without a shuffle: each partition sums, per class, n, x, x²
+    * and the within-group products xᵢxⱼ, and the driver adds the sums in
+    * partition order, both with compensation ([[LinAlg.addCompensated]]).
+    * The covariance subtracts two close terms, so plain sums over large
+    * partitions lose digits of r; compensated ones are exact to about an ulp
+    * whatever the partitioning. Pearson's r is formed as Spark's
+    * `Correlation.corr` forms it (sample covariance over the product of
+    * standard deviations). A constant feature (variance within 1e-12 of
+    * zero, Spark's cut-off) has no defined correlation: its row and column
+    * are 0 off the diagonal. A class of fewer than two rows has zero
+    * covariance and the identity as correlation.
+    */
+  def groupMoments(rows: Dataset[(Int, Array[Double])], classes: Int, groups: Array[Int]): Seq[ClassMoments] = {
     val d = groups.length
     val (pi, pj) =
       (for (i <- 0 until d; j <- i + 1 until d if groups(i) == groups(j)) yield (i, j)).toArray.unzip
-    // per partition: n at 0, then m sums from 1, Σx (d), Σx² (d) and Σxᵢxⱼ
-    // (one per within-group pair), each with its compensation m places on
-    val m = 2 * d + pi.length
-    val spark = features.sparkSession
+    // per class and partition: n at 0, then m sums from 1, Σx (d), Σx² (d)
+    // and Σxᵢxⱼ (one per within-group pair), each with its compensation m
+    // places on
+    val m     = 2 * d + pi.length
+    val width = 1 + 2 * m
+    val spark = rows.sparkSession
     import spark.implicits._
-    val parts = features.select(col(featCol)).as[Array[Double]].mapPartitions { rows =>
-      val s = new Array[Double](1 + 2 * m)
-      def add(k: Int, v: Double): Unit = addCompensated(s, 1 + k, 1 + m + k, v)
-      rows.foreach { x =>
-        s(0) += 1
+    val parts = rows.mapPartitions { it =>
+      val s = new Array[Double](classes * width)
+      it.foreach { case (c, x) =>
+        val o = c * width
+        def add(k: Int, v: Double): Unit = addCompensated(s, o + 1 + k, o + 1 + m + k, v)
+        s(o) += 1
         var j = 0
         while (j < d) { add(j, x(j)); add(d + j, x(j) * x(j)); j += 1 }
         var k = 0
@@ -85,30 +105,37 @@ object ZeroerEM {
       }
       Iterator(s)
     }.collect()
-    val tot = new Array[Double](2 * m) // sum k at k, its compensation at m + k
-    for (p <- parts; k <- 0 until m) {
-      addCompensated(tot, k, m + k, p(1 + k))
-      addCompensated(tot, k, m + k, p(1 + m + k))
-    }
-    def sum(k: Int): Double = tot(k) + tot(m + k)
 
-    val n    = parts.foldLeft(0.0)(_ + _(0))
-    val mean = Array.tabulate(d)(j => sum(j) / n)
-    def cov(i: Int, j: Int, gram: Double): Double =
-      gram / (n - 1) - n / (n - 1) * mean(i) * mean(j)
-    val sd = Array.tabulate(d) { j =>
-      val v = if (n > 1) cov(j, j, sum(d + j)) else 0.0
-      if (math.abs(v) <= 1e-12) 0.0 else math.sqrt(v)
-    }
-    val r = Array.tabulate(d, d)((i, j) => if (i == j) 1.0 else 0.0)
-    for (k <- pi.indices) {
-      val i = pi(k); val j = pj(k)
-      if (sd(i) > 0.0 && sd(j) > 0.0) {
-        r(i)(j) = cov(i, j, sum(2 * d + k)) / (sd(j) * sd(i))
-        r(j)(i) = r(i)(j)
+    (0 until classes).map { c =>
+      val o   = c * width
+      val tot = new Array[Double](2 * m) // sum k at k, its compensation at m + k
+      for (p <- parts; k <- 0 until m) {
+        addCompensated(tot, k, m + k, p(o + 1 + k))
+        addCompensated(tot, k, m + k, p(o + 1 + m + k))
       }
+      def sum(k: Int): Double = tot(k) + tot(m + k)
+
+      val n    = parts.foldLeft(0.0)(_ + _(o))
+      val mean = Array.tabulate(d)(j => sum(j) / n)
+      def cov(i: Int, j: Int, gram: Double): Double =
+        if (n > 1) gram / (n - 1) - n / (n - 1) * mean(i) * mean(j) else 0.0
+      val s  = Array.tabulate(d, d)((i, j) => if (i == j) cov(j, j, sum(d + j)) else 0.0)
+      val sd = Array.tabulate(d) { j =>
+        val v = s(j)(j)
+        if (math.abs(v) <= 1e-12) 0.0 else math.sqrt(v)
+      }
+      val r = Array.tabulate(d, d)((i, j) => if (i == j) 1.0 else 0.0)
+      for (k <- pi.indices) {
+        val i = pi(k); val j = pj(k)
+        s(i)(j) = cov(i, j, sum(2 * d + k))
+        s(j)(i) = s(i)(j)
+        if (sd(i) > 0.0 && sd(j) > 0.0) {
+          r(i)(j) = s(i)(j) / (sd(j) * sd(i))
+          r(j)(i) = r(i)(j)
+        }
+      }
+      ClassMoments(n.toLong, s, r)
     }
-    (r, n.toLong)
   }
 
   /** Pair (l, r)'s posterior row at `params`. */

@@ -4,7 +4,7 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-import repro.SparkSpec
+import repro.{JobLog, SparkSpec}
 import repro.blocking.Blocking
 import repro.erdata.Datasets
 import repro.sim.StringSims
@@ -89,6 +89,17 @@ class PPJoinSpec extends SparkSpec {
       if StringSims.cosineTokens(lr.getString(1), rr.getString(1)) >= t
     } yield (lr.getLong(0), rr.getLong(0))).toSet
     assert(got == brute, s"ppjoin=${got.size} brute=${brute.size}")
+  }
+
+  test("a join on FZ writes no shuffle bytes") {
+    val ds = Datasets.fz(spark, scale = 0.3)
+    for (sim <- Seq("jaccard", "cosine")) {
+      val jobs = JobLog.of(spark.sparkContext) {
+        PPJoin.join(ds.left, ds.right, "id", ds.attrs, sim, 0.4).collect(); ()
+      }
+      assert(jobs.nonEmpty)
+      jobs.foreach(j => assert(j.shuffleBytes == 0, s"$sim: a job wrote ${j.shuffleBytes} shuffle bytes: ${j.where}"))
+    }
   }
 
   test("higher thresholds return fewer pairs (monotone)") {

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
 import scala.util.Random
 
-import repro.SparkSpec
+import repro.{JobLog, SparkSpec}
 import repro.core.Zeroer
 import repro.erdata.Datasets
 import repro.eval.Metrics
@@ -122,4 +122,14 @@ class UnsupervisedSpec extends SparkSpec {
         }
       } finally cross.pairs.unpersist()
     }
+
+  test("ECM stops at its fixed point on FZ") {
+    // FZ at 0.3 reaches a bit-identical fixed point after 3 of the 60 passes
+    val ds    = Datasets.fz(spark, scale = 0.3)
+    val cross = Zeroer.prepareCross(ds)
+    try {
+      val jobs = JobLog.of(spark.sparkContext) { Unsupervised.ecm(cross.pairs).collect(); () }
+      assert(jobs.size < 10, s"${jobs.size} jobs: ${jobs.map(_.where).mkString("; ")}")
+    } finally cross.pairs.unpersist()
+  }
 }

@@ -1,7 +1,9 @@
 package repro.eval
 
+import org.apache.spark.sql.functions._
+
 import repro.SparkSpec
-import repro.core.Zeroer
+import repro.core.{Zeroer, ZeroerEM}
 import repro.erdata.Datasets
 import repro.sim.FeatureGen
 
@@ -46,5 +48,25 @@ class CovarianceStudySpec extends SparkSpec {
                s"$got vs ($wantCov, $wantCorr)")
       } finally { lab.unpersist(); cross.pairs.unpersist() }
     }
+  }
+
+  test("each class's groupMoments correlation is sharedCorrelation of that class alone on FZ") {
+    val ds     = Datasets.fz(spark, scale = 0.3)
+    val cross  = Zeroer.prepareCross(ds)
+    val lab    = Metrics.withLabel(cross.pairs, ds.truth).cache()
+    val groups = FeatureGen.groupIndex(ds.specs)
+    try {
+      import spark.implicits._
+      val rows    = lab.select(when(col("label") === 1.0, 0).otherwise(1), col("features")).as[(Int, Array[Double])]
+      val classes = ZeroerEM.groupMoments(rows, 2, groups)
+      for ((c, cls) <- Seq((0, col("label") === 1.0), (1, col("label") =!= 1.0))) {
+        val alone = lab.where(cls)
+        val want  = ZeroerEM.sharedCorrelation(alone, "features", groups)
+        val got   = classes(c)
+        val worst = want.indices.flatMap(i => want.indices.map(j => math.abs(got.corr(i)(j) - want(i)(j)))).max
+        assert(got.n == alone.count() && got.n > 1, s"class $c: n ${got.n}")
+        assert(worst <= 1e-12, s"class $c: max |groupMoments - sharedCorrelation| = $worst")
+      }
+    } finally { lab.unpersist(); cross.pairs.unpersist() }
   }
 }
